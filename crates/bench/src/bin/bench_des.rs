@@ -12,14 +12,14 @@
 //! nodes for CI. Writes `BENCH_DES.json` at the repository root, gated by
 //! the `des-scale` CI job the same way the footprint diff is.
 //!
-//! Speedup numbers are honest: `host_parallelism` records how many cores
-//! the host actually offered, and on a single-core box the parallel
-//! engine's conservative-window synchronization is pure overhead — the
-//! point of running it there is the bit-identity check, not the speedup.
+//! The engine runs on one thread whatever the shard count, so the point of
+//! the sharded rows is the bit-identity check; `speedup_vs_serial` is the
+//! k-way merge's cost (below 1 when merging several queues is slower than
+//! popping one). `host_parallelism` is recorded as provenance.
 
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, print_table, ExpArgs};
+use eslurm_bench::{f, fnv64, print_table, ExpArgs};
 use obs::{mem_profile_compiled, EngineProfiler, EngineReport, MemProfiler, MemReport};
 use serde::{Number, Value};
 use simclock::rng::{exponential, stream_rng};
@@ -27,16 +27,6 @@ use simclock::{SimSpan, SimTime};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
-
-/// Stable 64-bit FNV-1a over a byte stream (fingerprints must not depend
-/// on the process' hash seeds).
-fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Scale {
     n_slaves: usize,
@@ -50,7 +40,6 @@ struct Scale {
 
 struct RunResult {
     shards: usize,
-    parallel: bool,
     wall_s: f64,
     events: u64,
     fingerprint: u64,
@@ -87,7 +76,6 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -
         .engine_profile(profiler.clone())
         .mem_profile(mem_profiler.clone())
         .build();
-    let parallel = sys.sim.parallel_enabled();
 
     // Fig9-style stream: exponential inter-arrival tuned to hit the job
     // target, power-law node counts capped at `max_job`, exponential
@@ -148,7 +136,6 @@ fn run_once(scale: &Scale, seed: u64, shards: usize, profile: bool, mem: bool) -
 
     RunResult {
         shards,
-        parallel,
         wall_s,
         events: sys.sim.events_processed(),
         fingerprint: h,
@@ -198,19 +185,15 @@ fn main() {
         std::io::stdout().flush().ok();
         let r = run_once(&scale, args.seed, shards, args.profile, args.mem);
         println!(
-            "{} events in {:.2} s ({:.0} ev/s{})",
+            "{} events in {:.2} s ({:.0} ev/s)",
             r.events,
             r.wall_s,
             r.events as f64 / r.wall_s.max(1e-9),
-            if r.parallel { ", workers" } else { ", merged" }
         );
         if let Some(p) = &r.profile {
             println!(
-                "    profile: sync {:.1}%, imbalance {:.2}x, {:.1} ev/window, \
-                 {} cross-shard msgs",
-                p.sync_fraction() * 100.0,
+                "    profile: imbalance {:.2}x, {} cross-shard msgs",
                 p.imbalance(),
-                p.events_per_window(),
                 p.cross_shard_total()
             );
         }
@@ -242,7 +225,6 @@ fn main() {
         .map(|r| {
             vec![
                 r.shards.to_string(),
-                if r.parallel { "workers" } else { "merged" }.to_string(),
                 f(r.wall_s, 2),
                 r.events.to_string(),
                 f(r.events as f64 / r.wall_s.max(1e-9), 0),
@@ -258,7 +240,6 @@ fn main() {
         ),
         &[
             "shards",
-            "engine",
             "wall s",
             "events",
             "events/s",
@@ -342,36 +323,22 @@ fn main() {
                 "shards".to_string(),
                 Value::Number(Number::U64(r.shards as u64)),
             );
-            o.insert(
-                "engine".to_string(),
-                Value::String(if r.parallel { "workers" } else { "merged" }.to_string()),
-            );
             o.insert("wall_s".to_string(), Value::Number(Number::F64(r.wall_s)));
             o.insert("events".to_string(), Value::Number(Number::U64(r.events)));
             o.insert(
                 "events_per_sec".to_string(),
                 Value::Number(Number::F64(r.events as f64 / r.wall_s.max(1e-9))),
             );
+            // Wall time of the 1-shard run over this run's: the cost of
+            // merging `shards` queues on one thread, not a parallel speedup.
             o.insert(
                 "speedup_vs_serial".to_string(),
                 Value::Number(Number::F64(serial.wall_s / r.wall_s.max(1e-9))),
             );
             if let Some(p) = &r.profile {
                 o.insert(
-                    "sync_fraction".to_string(),
-                    Value::Number(Number::F64(p.sync_fraction())),
-                );
-                o.insert(
                     "imbalance".to_string(),
                     Value::Number(Number::F64(p.imbalance())),
-                );
-                o.insert(
-                    "null_window_fraction".to_string(),
-                    Value::Number(Number::F64(p.null_window_fraction())),
-                );
-                o.insert(
-                    "events_per_window".to_string(),
-                    Value::Number(Number::F64(p.events_per_window())),
                 );
                 o.insert(
                     "cross_shard_msgs".to_string(),

@@ -16,7 +16,7 @@
 //! `--quick` shrinks the trace, `--seed` varies it.
 
 use eslurm::PredictiveLimit;
-use eslurm_bench::{f, print_table, ExpArgs};
+use eslurm_bench::{f, fnv64, print_table, ExpArgs};
 use estimate::EstimatorConfig;
 use obs::audit::{Decision, DecisionLog};
 use sched::prelude::{
@@ -28,16 +28,6 @@ use simclock::SimSpan;
 use std::collections::BTreeMap;
 use std::path::Path;
 use workload::{Job, TraceConfig};
-
-/// Stable 64-bit FNV-1a over a byte stream (fingerprints must not depend
-/// on the process' hash seeds).
-fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Outcome fingerprint of one scheduling run: every field a correctness
 /// test would compare, floats by bit pattern.

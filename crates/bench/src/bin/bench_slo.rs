@@ -19,7 +19,7 @@
 
 use emu::{FaultPlan, FaultPlanBuilder, NodeId, Outage};
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, print_table, ExpArgs};
+use eslurm_bench::{f, fnv64, print_table, ExpArgs};
 use obs::{AnomalySpec, MetricId, Sampler, SloEngine, SloReport, SloSpec};
 use rm::{RmClusterBuilder, RmProfile};
 use serde::{Number, Value};
@@ -28,16 +28,6 @@ use simclock::{SimSpan, SimTime};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
-
-/// Stable 64-bit FNV-1a over a byte stream (fingerprints must not depend
-/// on the process' hash seeds).
-fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Scale {
     n_slaves: usize,

@@ -126,6 +126,17 @@ pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
+/// Stable 64-bit FNV-1a over a byte stream, folded into `h` (fingerprints
+/// must not depend on the process' hash seeds). Start a fresh hash from
+/// the FNV offset basis `0xcbf2_9ce4_8422_2325`.
+pub fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Format a byte count as MiB/GiB.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {
@@ -157,6 +168,14 @@ mod tests {
             mem: false,
         };
         assert_eq!(b.scale(100, 10), 100);
+    }
+
+    #[test]
+    fn fnv64_matches_the_reference_vectors() {
+        let basis = 0xcbf2_9ce4_8422_2325u64;
+        assert_eq!(fnv64(b"", basis), basis);
+        assert_eq!(fnv64(b"a", basis), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"bar", fnv64(b"foo", basis)), fnv64(b"foobar", basis));
     }
 
     #[test]

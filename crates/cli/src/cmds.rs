@@ -152,7 +152,7 @@ pub const COMMANDS: &[CmdSpec] = &[
     },
     CmdSpec {
         name: "engine-report",
-        summary: "wall-clock per-shard profile of the simulation engine",
+        summary: "wall-clock per-shard profile of the single-threaded simulation engine",
         flags: &[
             "nodes",
             "satellites",
@@ -1155,19 +1155,19 @@ pub fn sched_report(args: &[String]) -> Result<(), CliError> {
 /// --seed S [--faults K] [--shards P] [--csv FILE] [--trace FILE]`
 ///
 /// Runs the same emulation as `simulate` with the wall-clock engine
-/// profiler armed and prints the per-shard efficiency table: where each
-/// shard's wall time went (event execution, queue ops, barrier waits,
-/// mailbox drains), window efficiency (events per window, null-window
-/// rate, realized lookahead vs. the `min_hop()` bound), cross-shard
-/// message traffic, and the load-imbalance / sync-overhead summary.
+/// profiler armed and prints the per-shard table: where each shard's
+/// wall time went (event execution, queue ops), queue depth, cross-shard
+/// message traffic, and the load-imbalance summary. The engine merges
+/// the `--shards P` queues on one thread, so the report shows how work
+/// and traffic split across shards, not thread parallelism.
 ///
 /// The profiler observes only host monotonic clocks, so outcomes and all
 /// virtual-time exports are bit-identical with it on or off. `--csv`
 /// writes the report as `engine_wall_*` series (excluded from `diff`
 /// gates by default); `--trace` writes a Chrome trace whose wall-clock
-/// engine track (pid 2) sits beside the virtual-time node lanes — note
-/// that full tracing forces the merged engine, so use `--trace` to study
-/// serial behaviour and plain `--shards P` for the parallel engine.
+/// engine track (pid 2) sits beside the virtual-time node lanes. Full
+/// tracing adds recording work to every event, so profile without
+/// `--trace` to measure the engine itself.
 pub fn engine_report(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "engine-report";
     let o = parse_opts(CMD, args)?;
@@ -1183,8 +1183,8 @@ pub fn engine_report(args: &[String]) -> Result<(), CliError> {
     let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
     let shards = flag_or(CMD, &o, "shards", 4usize)?;
 
-    // Recording an execution trace pins the engine to merged mode, so only
-    // arm the recorder when the caller actually asked for a trace file.
+    // Recording an execution trace adds work to every event the profile
+    // times, so only arm the recorder when the caller asked for a trace.
     let rec = if o.get("trace").is_some() {
         Recorder::full()
     } else {

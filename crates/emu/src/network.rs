@@ -74,22 +74,6 @@ impl LatencyModel {
         self.jitter(self.connect, rng)
     }
 
-    /// Conservative lower bound on the send→deliver delay of any message:
-    /// the zero-size transmit gap plus the smallest latency the jitter can
-    /// produce, less one microsecond of rounding slack.
-    ///
-    /// The sharded engine in `emu::sim` uses this as its conservative
-    /// synchronization window (lookahead): a message sent at time `t` is
-    /// delivered strictly after `t + min_hop()`, so shards may process
-    /// events within a window of this width concurrently without a
-    /// cross-shard message ever arriving inside the window that produced
-    /// it. With the default Tianhe-like parameters this is 34 µs.
-    pub fn min_hop(&self) -> SimSpan {
-        let frac = self.jitter_frac.clamp(0.0, 1.0);
-        let min_latency = (self.base.as_micros() as f64 * (1.0 - frac)).floor() as u64;
-        SimSpan::from_micros((self.tx_gap(0).as_micros() + min_latency).saturating_sub(1))
-    }
-
     fn jitter(&self, raw: SimSpan, rng: &mut StdRng) -> SimSpan {
         if self.jitter_frac == 0.0 {
             return raw;
@@ -129,27 +113,6 @@ mod tests {
     fn tx_gap_grows_with_size() {
         let m = LatencyModel::default();
         assert!(m.tx_gap(64 * 1024) > m.tx_gap(64));
-    }
-
-    #[test]
-    fn min_hop_lower_bounds_every_draw() {
-        let m = LatencyModel::default();
-        assert_eq!(m.min_hop(), SimSpan::from_micros(34));
-        assert_eq!(
-            LatencyModel::default().deterministic().min_hop(),
-            SimSpan::from_micros(37)
-        );
-        let mut rng = stream_rng(7, 0);
-        for size in [0u32, 64, 1024, 64 * 1024] {
-            for _ in 0..500 {
-                let hop = m.tx_gap(size) + m.latency(size, &mut rng);
-                assert!(
-                    hop > m.min_hop(),
-                    "draw {hop:?} not strictly above min_hop {:?}",
-                    m.min_hop()
-                );
-            }
-        }
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl EslurmSystemBuilder {
     /// and the `i`-th balanced contiguous block of compute nodes — the block
     /// satellite `i` serves in the master's dispatch split — rides on its
     /// satellite's shard. Outcomes are bit-identical for every `n`; only
-    /// wall-clock changes.
+    /// wall-clock changes (the shard queues are merged on one thread).
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
@@ -170,8 +170,8 @@ impl EslurmSystemBuilder {
     }
 
     /// Profile the engine's *wall-clock* behaviour into `profiler`
-    /// (mirrored on `RmClusterBuilder`): per-shard busy/barrier/drain/queue
-    /// time, window-efficiency counters, and cross-shard traffic. Unlike
+    /// (mirrored on `RmClusterBuilder`): per-shard busy and queue time,
+    /// queue depth, and cross-shard traffic. Unlike
     /// every other sink on this builder the profiler measures real time —
     /// it never touches the virtual-time path, so enabling it changes no
     /// outcome and no trace/CSV byte. Read it back via

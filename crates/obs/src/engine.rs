@@ -4,10 +4,9 @@
 //! must be bit-identical run-to-run and byte-identical with tracing on or
 //! off. This module is the deliberate exception: an [`EngineProfiler`]
 //! measures *wall-clock* time with monotonic [`Instant`] timers so the
-//! sharded engine in `emu::sim` can attribute real seconds to event
-//! execution vs. barrier waits vs. mailbox drains vs. queue ops, count
-//! window efficiency (windows run, null windows, realized lookahead vs.
-//! `min_hop()`), and tally cross-shard message volume per shard pair.
+//! sharded engine in `emu::sim` can attribute real seconds per shard to
+//! event execution vs. queue ops, and tally cross-shard message volume
+//! per shard pair.
 //!
 //! The two clock domains never mix:
 //!
@@ -50,10 +49,8 @@ pub const ENGINE_TRACK_PID: u32 = 2;
 pub enum EngineMode {
     /// No run observed yet.
     Idle,
-    /// Single-threaded merged loop (serial, or tracing forced it).
+    /// The single-threaded k-way merge over the shard queues.
     Merged,
-    /// Conservative-window worker threads, one per shard.
-    Workers,
 }
 
 impl EngineMode {
@@ -61,56 +58,28 @@ impl EngineMode {
         match self {
             EngineMode::Idle => "idle",
             EngineMode::Merged => "merged",
-            EngineMode::Workers => "workers",
         }
     }
 }
 
-/// Wall-clock phase a span covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnginePhase {
-    /// Executing events (merged: pop+exec batches; workers: the window loop).
-    Exec,
-    /// Waiting on the round barrier (includes the `fetch_min` publish).
-    Barrier,
-    /// Draining cross-shard mailboxes and applying deferred socket ops.
-    Drain,
-}
-
-impl EnginePhase {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EnginePhase::Exec => "exec",
-            EnginePhase::Barrier => "barrier",
-            EnginePhase::Drain => "drain",
-        }
-    }
-}
-
-/// One wall-clock span on the engine track. Timestamps are nanoseconds
-/// since the profiler was created (its monotonic epoch).
+/// One wall-clock span of event execution on the engine track: a batch of
+/// consecutive events from one shard. Timestamps are nanoseconds since the
+/// profiler was created (its monotonic epoch).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineSpan {
     pub shard: u32,
-    pub phase: EnginePhase,
     pub start_ns: u64,
     pub dur_ns: u64,
 }
 
-/// Per-shard accumulator. All fields are relaxed atomics: workers write
-/// only their own slot's timing fields, so contention is zero; counters
-/// shared with the merged loop are main-thread only.
+/// Per-shard accumulator. Counters are relaxed atomics (statistics that
+/// publish no other data); spans go to a bounded, mutex-guarded buffer.
 #[derive(Default)]
 pub struct ShardSlot {
     busy_ns: AtomicU64,
     queue_ns: AtomicU64,
-    barrier_ns: AtomicU64,
-    drain_ns: AtomicU64,
     wall_ns: AtomicU64,
     events: AtomicU64,
-    windows: AtomicU64,
-    null_windows: AtomicU64,
-    advance_us: AtomicU64,
     max_queue_depth: AtomicU64,
     pool_slots: AtomicU64,
     pool_free: AtomicU64,
@@ -128,30 +97,12 @@ impl ShardSlot {
         self.queue_ns.fetch_add(ns, Ordering::Relaxed);
     }
     #[inline]
-    pub fn add_barrier(&self, ns: u64) {
-        self.barrier_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-    #[inline]
-    pub fn add_drain(&self, ns: u64) {
-        self.drain_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-    #[inline]
     pub fn add_wall(&self, ns: u64) {
         self.wall_ns.fetch_add(ns, Ordering::Relaxed);
     }
     #[inline]
     pub fn add_events(&self, n: u64) {
         self.events.fetch_add(n, Ordering::Relaxed);
-    }
-    /// Account one conservative window: whether it executed any events and
-    /// how far it advanced virtual time (µs).
-    #[inline]
-    pub fn add_window(&self, events: u64, advance_us: u64) {
-        self.windows.fetch_add(1, Ordering::Relaxed);
-        if events == 0 {
-            self.null_windows.fetch_add(1, Ordering::Relaxed);
-        }
-        self.advance_us.fetch_add(advance_us, Ordering::Relaxed);
     }
     #[inline]
     pub fn observe_queue_depth(&self, depth: u64) {
@@ -178,7 +129,6 @@ impl ShardSlot {
 /// Topology-dependent state, sized once the engine attaches.
 struct Topo {
     nshards: usize,
-    min_hop_us: u64,
     shards: Vec<Arc<ShardSlot>>,
     /// Cross-shard message counts, `pairs[src * nshards + dst]`.
     pairs: Vec<AtomicU64>,
@@ -244,11 +194,10 @@ impl EngineProfiler {
     /// to one topology for its lifetime — reusing it on a cluster with a
     /// different shard count keeps the first topology and ignores
     /// out-of-range shards (use one profiler per cluster).
-    pub fn attach(&self, nshards: usize, min_hop_us: u64) {
+    pub fn attach(&self, nshards: usize) {
         if let Some(s) = &self.0 {
             s.topo.get_or_init(|| Topo {
                 nshards,
-                min_hop_us,
                 shards: (0..nshards)
                     .map(|_| Arc::new(ShardSlot::default()))
                     .collect(),
@@ -257,13 +206,12 @@ impl EngineProfiler {
         }
     }
 
-    /// Which engine ran (last wins; a run uses exactly one mode).
+    /// Which engine ran (last wins).
     pub fn set_mode(&self, mode: EngineMode) {
         if let Some(s) = &self.0 {
             let v = match mode {
                 EngineMode::Idle => 0,
                 EngineMode::Merged => 1,
-                EngineMode::Workers => 2,
             };
             s.mode.store(v, Ordering::Relaxed);
         }
@@ -279,8 +227,8 @@ impl EngineProfiler {
     }
 
     /// Per-shard recording handle, or `None` when disabled/unattached/out
-    /// of range. Workers fetch this once per segment, then record through
-    /// it lock-free.
+    /// of range. The engine fetches these once per run, then records
+    /// through them lock-free.
     pub fn shard_slot(&self, shard: usize) -> Option<Arc<ShardSlot>> {
         let s = self.0.as_ref()?;
         let t = s.topo.get()?;
@@ -312,7 +260,6 @@ impl EngineProfiler {
         let t = s.topo.get()?;
         let mode = match s.mode.load(Ordering::Relaxed) {
             1 => EngineMode::Merged,
-            2 => EngineMode::Workers,
             _ => EngineMode::Idle,
         };
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -323,13 +270,8 @@ impl EngineProfiler {
             .map(|(i, sl)| ShardReport {
                 shard: i,
                 events: ld(&sl.events),
-                windows: ld(&sl.windows),
-                null_windows: ld(&sl.null_windows),
-                advance_us: ld(&sl.advance_us),
                 busy_ns: ld(&sl.busy_ns),
                 queue_ns: ld(&sl.queue_ns),
-                barrier_ns: ld(&sl.barrier_ns),
-                drain_ns: ld(&sl.drain_ns),
                 wall_ns: ld(&sl.wall_ns),
                 max_queue_depth: ld(&sl.max_queue_depth),
                 pool_slots: ld(&sl.pool_slots),
@@ -346,7 +288,6 @@ impl EngineProfiler {
         let spans_dropped = t.shards.iter().map(|sl| ld(&sl.spans_dropped)).sum();
         Some(EngineReport {
             mode,
-            min_hop_us: t.min_hop_us,
             shards,
             pairs,
             spans_dropped,
@@ -373,14 +314,8 @@ impl EngineProfiler {
 pub struct ShardReport {
     pub shard: usize,
     pub events: u64,
-    pub windows: u64,
-    pub null_windows: u64,
-    /// Total virtual-time advance across windows, µs.
-    pub advance_us: u64,
     pub busy_ns: u64,
     pub queue_ns: u64,
-    pub barrier_ns: u64,
-    pub drain_ns: u64,
     pub wall_ns: u64,
     pub max_queue_depth: u64,
     pub pool_slots: u64,
@@ -391,11 +326,7 @@ impl ShardReport {
     /// Wall time accounted to a phase bucket. Always `<= wall_ns` (phases
     /// are disjoint sub-intervals of the shard's measured wall time).
     pub fn accounted_ns(&self) -> u64 {
-        self.busy_ns + self.queue_ns + self.barrier_ns + self.drain_ns
-    }
-    /// Synchronization cost: barrier waits plus mailbox drains.
-    pub fn sync_ns(&self) -> u64 {
-        self.barrier_ns + self.drain_ns
+        self.busy_ns + self.queue_ns
     }
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
@@ -404,22 +335,12 @@ impl ShardReport {
             self.events as f64 / (self.wall_ns as f64 / 1e9)
         }
     }
-    /// Mean realized window width in µs (how far each window actually
-    /// advanced virtual time; compare against `min_hop_us`).
-    pub fn realized_lookahead_us(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.advance_us as f64 / self.windows as f64
-        }
-    }
 }
 
 /// Owned snapshot of the whole engine profile.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     pub mode: EngineMode,
-    pub min_hop_us: u64,
     pub shards: Vec<ShardReport>,
     /// Cross-shard message counts, `pairs[src][dst]` (diagonal unused).
     pub pairs: Vec<Vec<u64>>,
@@ -433,15 +354,11 @@ impl EngineReport {
     pub fn total_wall_ns(&self) -> u64 {
         self.shards.iter().map(|s| s.wall_ns).sum()
     }
-    /// Fraction of measured wall time spent synchronizing (barrier waits +
-    /// mailbox drains), summed across shards. 0 for a merged run.
+    /// Fraction of wall time spent synchronizing shards: always 0, since
+    /// the engine is single-threaded. Kept because the benchmark's
+    /// per-layer schema still reads it.
     pub fn sync_fraction(&self) -> f64 {
-        let wall = self.total_wall_ns();
-        if wall == 0 {
-            0.0
-        } else {
-            self.shards.iter().map(|s| s.sync_ns()).sum::<u64>() as f64 / wall as f64
-        }
+        0.0
     }
     /// Load imbalance: max busy time over mean busy time across shards.
     /// 1.0 means perfectly balanced; values ≫ 1 flag a hot shard.
@@ -454,24 +371,11 @@ impl EngineReport {
         let mean = total as f64 / busy.len() as f64;
         *busy.iter().max().unwrap() as f64 / mean
     }
-    pub fn total_windows(&self) -> u64 {
-        self.shards.iter().map(|s| s.windows).sum()
-    }
+    /// Fraction of synchronization windows that executed no event: always
+    /// 0, since the single-threaded engine runs no windows. Kept because
+    /// the benchmark's per-layer schema still reads it.
     pub fn null_window_fraction(&self) -> f64 {
-        let w = self.total_windows();
-        if w == 0 {
-            0.0
-        } else {
-            self.shards.iter().map(|s| s.null_windows).sum::<u64>() as f64 / w as f64
-        }
-    }
-    pub fn events_per_window(&self) -> f64 {
-        let w = self.total_windows();
-        if w == 0 {
-            0.0
-        } else {
-            self.total_events() as f64 / w as f64
-        }
+        0.0
     }
     pub fn cross_shard_total(&self) -> u64 {
         self.pairs.iter().flatten().sum()
@@ -508,11 +412,8 @@ impl EngineReport {
         for s in &self.shards {
             put_shard("engine_wall_busy_ns", s.shard, s.busy_ns as f64);
             put_shard("engine_wall_queue_ns", s.shard, s.queue_ns as f64);
-            put_shard("engine_wall_barrier_ns", s.shard, s.barrier_ns as f64);
-            put_shard("engine_wall_drain_ns", s.shard, s.drain_ns as f64);
             put_shard("engine_wall_total_ns", s.shard, s.wall_ns as f64);
             put_shard("engine_wall_events", s.shard, s.events as f64);
-            put_shard("engine_wall_windows", s.shard, s.windows as f64);
             put_shard("engine_wall_events_per_sec", s.shard, s.events_per_sec());
             put_shard(
                 "engine_wall_max_queue_depth",
@@ -520,11 +421,6 @@ impl EngineReport {
                 s.max_queue_depth as f64,
             );
         }
-        store.record(
-            MetricId::new("engine_wall_sync_fraction"),
-            t,
-            self.sync_fraction(),
-        );
         store.record(MetricId::new("engine_wall_imbalance"), t, self.imbalance());
         store.record(
             MetricId::new("engine_wall_cross_shard_msgs"),
@@ -533,8 +429,8 @@ impl EngineReport {
         );
     }
 
-    /// Render the per-shard efficiency table plus the load-imbalance and
-    /// sync-overhead summary (the `eslurm engine-report` body).
+    /// Render the per-shard table plus the load-imbalance summary (the
+    /// `eslurm engine-report` body).
     pub fn render(&self) -> String {
         let pct = |part: u64, whole: u64| {
             if whole == 0 {
@@ -545,39 +441,20 @@ impl EngineReport {
         };
         let mut out = String::new();
         out.push_str(&format!(
-            "engine profile: mode={} shards={} min_hop={}us\n\n",
+            "engine profile: mode={} shards={}\n\n",
             self.mode.as_str(),
             self.shards.len(),
-            self.min_hop_us
         ));
-        out.push_str(
-            "shard     events      ev/s   busy%  queue%   barr%  drain%    windows  null%  ev/win  adv_us  qdepth   pool\n",
-        );
+        out.push_str("shard     events      ev/s   busy%  queue%  qdepth   pool\n");
         for s in &self.shards {
-            let nullpct = if s.windows == 0 {
-                0.0
-            } else {
-                100.0 * s.null_windows as f64 / s.windows as f64
-            };
-            let evwin = if s.windows == 0 {
-                0.0
-            } else {
-                s.events as f64 / s.windows as f64
-            };
             let pool_used = s.pool_slots.saturating_sub(s.pool_free);
             out.push_str(&format!(
-                "{:>5} {:>10} {:>9.0} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>10} {:>5.1}% {:>7.1} {:>7.1} {:>7} {:>3}/{}\n",
+                "{:>5} {:>10} {:>9.0} {:>6.1}% {:>6.1}% {:>7} {:>3}/{}\n",
                 s.shard,
                 s.events,
                 s.events_per_sec(),
                 pct(s.busy_ns, s.wall_ns),
                 pct(s.queue_ns, s.wall_ns),
-                pct(s.barrier_ns, s.wall_ns),
-                pct(s.drain_ns, s.wall_ns),
-                s.windows,
-                nullpct,
-                evwin,
-                s.realized_lookahead_us(),
                 s.max_queue_depth,
                 pool_used,
                 s.pool_slots,
@@ -585,27 +462,11 @@ impl EngineReport {
         }
         out.push('\n');
         out.push_str(&format!(
-            "totals: events={} wall={:.3}s sync_overhead={:.1}% imbalance={:.2}x\n",
+            "totals: events={} wall={:.3}s imbalance={:.2}x\n",
             self.total_events(),
             self.total_wall_ns() as f64 / 1e9,
-            100.0 * self.sync_fraction(),
             self.imbalance(),
         ));
-        if self.total_windows() > 0 {
-            out.push_str(&format!(
-                "windows: {} total, {:.1}% null, {:.1} events/window, realized lookahead {:.1}us vs min_hop {}us\n",
-                self.total_windows(),
-                100.0 * self.null_window_fraction(),
-                self.events_per_window(),
-                if self.total_windows() == 0 {
-                    0.0
-                } else {
-                    self.shards.iter().map(|s| s.advance_us).sum::<u64>() as f64
-                        / self.total_windows() as f64
-                },
-                self.min_hop_us,
-            ));
-        }
         let pairs = self.top_pairs(8);
         if !pairs.is_empty() {
             out.push_str(&format!(
@@ -635,9 +496,9 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let p = EngineProfiler::disabled();
         assert!(!p.is_enabled());
-        p.attach(4, 50);
+        p.attach(4);
         p.count_cross_shard(0, 1);
-        p.set_mode(EngineMode::Workers);
+        p.set_mode(EngineMode::Merged);
         assert!(p.shard_slot(0).is_none());
         assert!(p.report().is_none());
         assert!(p.spans().is_empty());
@@ -648,58 +509,51 @@ mod tests {
     fn counters_aggregate_into_report() {
         let p = EngineProfiler::enabled();
         assert!(p.report().is_none(), "unattached profiler has no report");
-        p.attach(2, 50);
-        p.set_mode(EngineMode::Workers);
+        p.attach(2);
+        p.set_mode(EngineMode::Merged);
         let s0 = p.shard_slot(0).unwrap();
         let s1 = p.shard_slot(1).unwrap();
         s0.add_busy(300);
-        s0.add_barrier(50);
-        s0.add_drain(50);
+        s0.add_queue(100);
         s0.add_wall(500);
         s0.add_events(10);
-        s0.add_window(10, 50);
         s1.add_busy(100);
-        s1.add_barrier(250);
-        s1.add_drain(50);
-        s1.add_wall(500);
+        s1.add_queue(50);
+        s1.add_wall(200);
         s1.add_events(2);
-        s1.add_window(2, 50);
-        s1.add_window(0, 50);
         p.count_cross_shard(0, 1);
         p.count_cross_shard(0, 1);
         p.count_cross_shard(1, 0);
 
         let r = p.report().unwrap();
-        assert_eq!(r.mode, EngineMode::Workers);
+        assert_eq!(r.mode, EngineMode::Merged);
         assert_eq!(r.total_events(), 12);
-        assert_eq!(r.total_windows(), 3);
-        assert_eq!(r.shards[1].null_windows, 1);
+        assert_eq!(r.total_wall_ns(), 700);
         for s in &r.shards {
             assert!(s.accounted_ns() <= s.wall_ns);
         }
-        // sync = (50+50) + (250+50) = 400 of 1000 wall.
-        assert!((r.sync_fraction() - 0.4).abs() < 1e-9);
+        assert_eq!(r.sync_fraction(), 0.0);
+        assert_eq!(r.null_window_fraction(), 0.0);
         // busy: max 300 over mean 200.
         assert!((r.imbalance() - 1.5).abs() < 1e-9);
         assert_eq!(r.cross_shard_total(), 3);
         assert_eq!(r.top_pairs(8), vec![(0, 1, 2), (1, 0, 1)]);
         let text = r.render();
-        assert!(text.contains("mode=workers"));
-        assert!(text.contains("sync_overhead=40.0%"));
+        assert!(text.contains("mode=merged"));
         assert!(text.contains("imbalance=1.50x"));
+        assert!(text.contains("top pairs: 0->1 2 1->0 1"));
     }
 
     #[test]
     fn span_buffer_is_bounded() {
         let p = EngineProfiler::with_span_capacity(2);
-        p.attach(1, 50);
+        p.attach(1);
         let s = p.shard_slot(0).unwrap();
         for i in 0..5 {
             s.push_span(
                 p.span_cap(),
                 EngineSpan {
                     shard: 0,
-                    phase: EnginePhase::Exec,
                     start_ns: i,
                     dur_ns: 1,
                 },
@@ -712,37 +566,29 @@ mod tests {
     #[test]
     fn attach_is_idempotent_and_pins_first_topology() {
         let p = EngineProfiler::enabled();
-        p.attach(2, 50);
-        p.attach(4, 99);
+        p.attach(2);
+        p.attach(4);
         let r = p.report().unwrap();
         assert_eq!(r.shards.len(), 2);
-        assert_eq!(r.min_hop_us, 50);
         assert!(p.shard_slot(3).is_none());
         p.count_cross_shard(0, 3); // out of range: ignored, no panic
         assert_eq!(p.report().unwrap().cross_shard_total(), 0);
     }
 
     #[test]
-    fn zero_window_report_renders_cleanly() {
-        // An attached profiler whose run never happened (or a merged run,
-        // which counts no windows): render and to_series must not divide
-        // by zero or emit a windows line.
+    fn empty_report_renders_cleanly() {
+        // An attached profiler whose run never happened: render and
+        // to_series must not divide by zero.
         let p = EngineProfiler::enabled();
-        p.attach(2, 50);
+        p.attach(2);
         let r = p.report().unwrap();
-        assert_eq!(r.total_windows(), 0);
         assert_eq!(r.total_events(), 0);
         assert_eq!(r.sync_fraction(), 0.0);
         assert_eq!(r.imbalance(), 1.0, "no busy time means balanced");
         assert_eq!(r.null_window_fraction(), 0.0);
-        assert_eq!(r.events_per_window(), 0.0);
         let text = r.render();
         assert!(text.contains("mode=idle"));
         assert!(text.contains("imbalance=1.00x"));
-        assert!(
-            !text.contains("windows:"),
-            "zero-window report must skip the windows line: {text}"
-        );
         assert!(
             !text.contains("cross-shard traffic"),
             "no traffic means no cross-shard section: {text}"
@@ -762,7 +608,7 @@ mod tests {
     #[test]
     fn single_shard_report_has_no_empty_matrix_rows() {
         let p = EngineProfiler::enabled();
-        p.attach(1, 50);
+        p.attach(1);
         p.set_mode(EngineMode::Merged);
         let s = p.shard_slot(0).unwrap();
         s.add_busy(100);
@@ -779,8 +625,8 @@ mod tests {
         assert!(!text.contains("->"), "no pair rows for a single shard");
         let mut store = crate::series::SeriesStore::new();
         r.to_series(&mut store, simclock::SimTime::ZERO);
-        // 9 per-shard series for the one shard, plus the 3 globals.
-        assert_eq!(store.len(), 12);
+        // 6 per-shard series for the one shard, plus the 2 globals.
+        assert_eq!(store.len(), 8);
         for (_, pts) in store.iter() {
             for pt in pts {
                 assert!(pt.value.is_finite());
@@ -791,7 +637,7 @@ mod tests {
     #[test]
     fn series_emission_uses_wallclock_prefix() {
         let p = EngineProfiler::enabled();
-        p.attach(1, 50);
+        p.attach(1);
         let s = p.shard_slot(0).unwrap();
         s.add_busy(100);
         s.add_wall(100);

@@ -265,9 +265,8 @@ fn push_engine_track_items(items: &mut Vec<(u64, String)>, engine: &[EngineSpan]
         items.push((
             ts,
             format!(
-                "{{\"name\":\"{}\",\"cat\":\"engine\",\"ph\":\"X\",\"pid\":{ENGINE_TRACK_PID},\
+                "{{\"name\":\"exec\",\"cat\":\"engine\",\"ph\":\"X\",\"pid\":{ENGINE_TRACK_PID},\
                  \"tid\":{},\"ts\":{ts},\"dur\":{dur},\"args\":{{}}}}",
-                s.phase.as_str(),
                 s.shard,
             ),
         ));

@@ -78,8 +78,7 @@ pub use causal::{
     PathStep, TraceContext, TraceTree,
 };
 pub use engine::{
-    EngineMode, EnginePhase, EngineProfiler, EngineReport, EngineSpan, ShardReport,
-    WALLCLOCK_PREFIX,
+    EngineMode, EngineProfiler, EngineReport, EngineSpan, ShardReport, WALLCLOCK_PREFIX,
 };
 pub use event::{EventKind, TraceEvent};
 pub use flight::{FlightConfig, FlightRecorder};

@@ -18,7 +18,7 @@
 //! each node emits events in a deterministic order no matter how the event
 //! population is sharded — which makes `(time, lane, seq)` identical across
 //! shard counts, and the global sort by key a shard-count-invariant total
-//! order. This is the merge rule the parallel engine in `emu::sim` relies
+//! order. This is the merge rule the sharded engine in `emu::sim` relies
 //! on: popping the minimum key across all shard queues replays exactly the
 //! serial execution.
 //!

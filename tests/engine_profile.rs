@@ -140,11 +140,7 @@ fn profiled_trace_exports_are_byte_identical() {
     for shards in [1usize, 4] {
         let rec = Recorder::full();
         let profiler = EngineProfiler::enabled();
-        let sys = run(shards, rec.clone(), Sampler::disabled(), profiler.clone());
-        assert!(
-            !sys.sim.parallel_enabled(),
-            "full tracing must fall back to the merged engine"
-        );
+        run(shards, rec.clone(), Sampler::disabled(), profiler.clone());
         assert_eq!(
             export::to_chrome_trace(&rec.events()),
             plain_chrome,
@@ -166,81 +162,36 @@ fn profiled_trace_exports_are_byte_identical() {
 }
 
 /// The profile's own accounting: phase buckets are disjoint sub-intervals
-/// of measured wall time, shard event counts sum to the engine total, and
-/// the parallel run reports windows.
+/// of measured wall time, and per-shard event counts sum to the engine
+/// total, at one shard and at four.
 #[test]
 fn profiler_accounting_invariants_hold() {
-    // Merged engine (1 shard).
-    let profiler = EngineProfiler::enabled();
-    let sys = run(
-        1,
-        Recorder::disabled(),
-        Sampler::disabled(),
-        profiler.clone(),
-    );
-    let report = profiler.report().expect("profiler attached");
-    assert_eq!(report.mode, EngineMode::Merged);
-    assert_eq!(report.shards.len(), 1);
-    assert_eq!(report.total_events(), sys.sim.events_processed());
-    for s in &report.shards {
-        assert!(
-            s.accounted_ns() <= s.wall_ns,
-            "shard {}: accounted {} > wall {}",
-            s.shard,
-            s.accounted_ns(),
-            s.wall_ns
+    for shards in [1usize, 4] {
+        let profiler = EngineProfiler::enabled();
+        let sys = run(
+            shards,
+            Recorder::disabled(),
+            Sampler::disabled(),
+            profiler.clone(),
         );
-    }
-    assert_eq!(report.sync_fraction(), 0.0, "merged run has no sync cost");
-    assert_eq!(report.total_windows(), 0, "merged run has no windows");
-
-    // Parallel workers (4 shards).
-    let profiler = EngineProfiler::enabled();
-    let sys = run(
-        4,
-        Recorder::disabled(),
-        Sampler::disabled(),
-        profiler.clone(),
-    );
-    assert!(sys.sim.parallel_enabled());
-    let report = profiler.report().expect("profiler attached");
-    assert_eq!(report.mode, EngineMode::Workers);
-    assert_eq!(report.shards.len(), 4);
-    assert_eq!(
-        report.total_events(),
-        sys.sim.events_processed(),
-        "per-shard event counts must sum to the engine total"
-    );
-    for s in &report.shards {
-        assert!(
-            s.accounted_ns() <= s.wall_ns,
-            "shard {}: accounted {} > wall {}",
-            s.shard,
-            s.accounted_ns(),
-            s.wall_ns
+        let report = profiler.report().expect("profiler attached");
+        assert_eq!(report.mode, EngineMode::Merged);
+        assert_eq!(report.shards.len(), shards);
+        assert_eq!(
+            report.total_events(),
+            sys.sim.events_processed(),
+            "per-shard event counts must sum to the engine total"
         );
-    }
-    assert!(
-        report.total_windows() > 0,
-        "parallel run must count windows"
-    );
-    let sf = report.sync_fraction();
-    assert!((0.0..=1.0).contains(&sf), "sync fraction {sf} out of range");
-    assert!(report.imbalance() >= 1.0);
-    // Windows advance virtual time; the mean realized width can dip below
-    // `min_hop` (segment-end windows are clamped) but never hit zero.
-    for s in &report.shards {
-        if s.windows > 0 {
+        for s in &report.shards {
             assert!(
-                s.realized_lookahead_us() > 0.0,
-                "shard {} windows advanced no virtual time",
-                s.shard
+                s.accounted_ns() <= s.wall_ns,
+                "shard {}: accounted {} > wall {}",
+                s.shard,
+                s.accounted_ns(),
+                s.wall_ns
             );
         }
+        assert_eq!(report.sync_fraction(), 0.0, "merged run has no sync cost");
+        assert!(report.imbalance() >= 1.0);
     }
-    // This scenario routes satellite traffic across shards.
-    assert!(
-        report.cross_shard_total() > 0,
-        "no cross-shard traffic seen"
-    );
 }

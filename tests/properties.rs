@@ -224,8 +224,8 @@ proptest! {
 
     /// Sharding is unobservable: for any seed and shard count, an ESlurm
     /// run produces the same job records and clock as the serial engine,
-    /// byte-identical sampler CSV on the parallel path, and byte-identical
-    /// Chrome-trace / event-JSONL exports on the traced (merged) path.
+    /// a byte-identical sampler CSV with the metrics-only recorder, and
+    /// byte-identical Chrome-trace / event-JSONL exports with full tracing.
     #[test]
     fn sharded_runs_are_byte_identical(seed in 0u64..100, shards in 2usize..9) {
         use eslurm_suite::eslurm::{EslurmConfig, EslurmSystemBuilder};
@@ -259,12 +259,11 @@ proptest! {
             sys
         };
 
-        // Parallel path: metrics + sampler CSV.
+        // Metrics-only recorder: outcomes + sampler CSV.
         let base_sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(200));
         let base = run(1, Recorder::metrics_only(), base_sampler.clone());
         let shard_sampler = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(200));
         let sharded = run(shards, Recorder::metrics_only(), shard_sampler.clone());
-        prop_assert!(sharded.sim.parallel_enabled());
         prop_assert_eq!(base.sim.now(), sharded.sim.now());
         prop_assert_eq!(base.sim.events_processed(), sharded.sim.events_processed());
         prop_assert_eq!(base.master().records.len(), sharded.master().records.len());
@@ -273,7 +272,7 @@ proptest! {
         }
         prop_assert_eq!(base_sampler.to_csv(), shard_sampler.to_csv(), "sampler CSV differs");
 
-        // Traced (merged) path: Chrome trace + event JSONL.
+        // Full tracing: Chrome trace + event JSONL.
         let rec_a = Recorder::full();
         let rec_b = Recorder::full();
         run(1, rec_a.clone(), Sampler::disabled());

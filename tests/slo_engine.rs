@@ -147,11 +147,7 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
     let make = |slo: SloEngine| {
         let rec = Recorder::full();
         let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-        let sys = run(1, rec.clone(), s, slo);
-        assert!(
-            !sys.sim.parallel_enabled(),
-            "full tracing must fall back to the merged engine"
-        );
+        run(1, rec.clone(), s, slo);
         rec
     };
     let plain_rec = make(SloEngine::disabled());
