@@ -10,6 +10,7 @@ use estimate::{
 };
 use obs::audit::{render_report, render_timeline, AuditReport};
 use obs::causal::{render_critical_path, render_flow_summaries, render_tree};
+use obs::export::ChromeTrace;
 use obs::{
     build_traces, compare_csv, flow_summaries, mem_profile_compiled, DecisionLog, DiffOptions,
     EngineProfiler, FlightConfig, FlowKind, MemProfiler, Recorder, Sampler, SeriesStore, SloEngine,
@@ -29,152 +30,116 @@ pub struct CmdSpec {
     pub name: &'static str,
     /// One-line summary shown in help.
     pub summary: &'static str,
-    /// Accepted `--flags`.
+    /// A flag set the command shares with others ([`SCENARIO_FLAGS`],
+    /// [`AUDIT_FLAGS`] or none), accepted ahead of its own.
+    pub shared: &'static [&'static str],
+    /// The command's own `--flags`.
     pub flags: &'static [&'static str],
 }
+
+impl CmdSpec {
+    /// Every flag the command accepts, in help order.
+    fn all_flags(&self) -> Vec<&'static str> {
+        self.shared.iter().chain(self.flags).copied().collect()
+    }
+}
+
+/// The flags of an emulated run, read by [`Scenario::parse`].
+const SCENARIO_FLAGS: &[&str] = &["nodes", "satellites", "minutes", "jobs", "seed", "faults"];
+
+/// The flags of an audited backfill run, read by `audit_run`.
+const AUDIT_FLAGS: &[&str] = &[
+    "trace",
+    "nodes",
+    "algo",
+    "policy",
+    "resubmits",
+    "jobs",
+    "seed",
+    "users",
+    "banks",
+    "priority",
+];
 
 /// Every subcommand the CLI knows, in help order.
 pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "gen-trace",
         summary: "generate a synthetic workload trace",
+        shared: &[],
         flags: &["jobs", "system", "seed", "out"],
     },
     CmdSpec {
         name: "analyze",
         summary: "workload statistics for a trace",
+        shared: &[],
         flags: &["samples", "seed"],
     },
     CmdSpec {
         name: "replay",
         summary: "replay a trace through the backfill scheduler",
+        shared: &[],
         flags: &["nodes", "policy", "algo", "resubmits", "obs"],
     },
     CmdSpec {
         name: "predict",
         summary: "compare runtime-prediction models",
+        shared: &[],
         flags: &["warmup", "window", "seed"],
     },
     CmdSpec {
         name: "simulate",
         summary: "run an emulated ESlurm cluster",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "obs",
-        ],
+        shared: SCENARIO_FLAGS,
+        flags: &["obs"],
     },
     CmdSpec {
         name: "trace",
         summary: "record an execution trace of an emulated faulted run",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "out",
-            "format",
-        ],
+        shared: SCENARIO_FLAGS,
+        flags: &["out", "format"],
     },
     CmdSpec {
         name: "metrics",
         summary: "sample an emulated run's resource footprint",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "interval",
-            "csv",
-            "prom",
-            "flight",
-        ],
+        shared: SCENARIO_FLAGS,
+        flags: &["interval", "csv", "prom", "flight"],
     },
     CmdSpec {
         name: "explain",
         summary: "reconstruct one trace's causal tree and critical path",
-        flags: &["nodes", "satellites", "minutes", "jobs", "seed", "faults"],
+        shared: SCENARIO_FLAGS,
+        flags: &[],
     },
     CmdSpec {
         name: "critical-path",
         summary: "slowest causal chain with per-hop latency breakdown",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "flow",
-        ],
+        shared: SCENARIO_FLAGS,
+        flags: &["flow"],
     },
     CmdSpec {
         name: "why-job",
         summary: "decision timeline of one job in an audited backfill run",
-        flags: &[
-            "trace",
-            "nodes",
-            "algo",
-            "policy",
-            "resubmits",
-            "jobs",
-            "seed",
-            "users",
-            "banks",
-            "priority",
-        ],
+        shared: AUDIT_FLAGS,
+        flags: &[],
     },
     CmdSpec {
         name: "sched-report",
         summary: "backfill hit-rate, skip reasons, and estimator accuracy",
-        flags: &[
-            "trace",
-            "nodes",
-            "algo",
-            "policy",
-            "resubmits",
-            "jobs",
-            "seed",
-            "users",
-            "banks",
-            "priority",
-            "audit",
-            "obs",
-        ],
+        shared: AUDIT_FLAGS,
+        flags: &["audit", "obs"],
     },
     CmdSpec {
         name: "engine-report",
         summary: "wall-clock per-shard profile of the single-threaded simulation engine",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "shards",
-            "csv",
-            "trace",
-        ],
+        shared: SCENARIO_FLAGS,
+        flags: &["shards", "csv", "trace"],
     },
     CmdSpec {
         name: "slo-report",
         summary: "evaluate SLOs online over an emulated run and gate breaches",
+        shared: SCENARIO_FLAGS,
         flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
             "sweep-p99",
             "queue-wait-p90",
             "inbox-depth",
@@ -187,22 +152,13 @@ pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "mem-report",
         summary: "per-subsystem host-heap attribution of an emulated run",
-        flags: &[
-            "nodes",
-            "satellites",
-            "minutes",
-            "jobs",
-            "seed",
-            "faults",
-            "shards",
-            "format",
-            "out",
-            "csv",
-        ],
+        shared: SCENARIO_FLAGS,
+        flags: &["shards", "format", "out", "csv"],
     },
     CmdSpec {
         name: "diff",
         summary: "compare two metrics CSVs and gate footprint regressions",
+        shared: &[],
         flags: &[
             "threshold-pct",
             "thresholds",
@@ -214,6 +170,7 @@ pub const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "convert",
         summary: "convert between .jsonl and .swf traces",
+        shared: &[],
         flags: &["cores-per-node"],
     },
 ];
@@ -286,16 +243,32 @@ fn spec(name: &str) -> Option<&'static CmdSpec> {
 pub fn print_help(name: &str) {
     if let Some(s) = spec(name) {
         println!("eslurm {} — {}\noptions:", s.name, s.summary);
-        for k in s.flags {
+        for k in s.all_flags() {
             println!("    --{k} <value>");
         }
     }
 }
 
-/// Parse `args` against the subcommand's declared flags.
-fn parse_opts(name: &'static str, args: &[String]) -> Result<Opts, CliError> {
+/// Parse `args` against the subcommand's declared flags. On `--help`
+/// this prints the option list and returns `None`: the command is done.
+fn parse_opts(name: &'static str, args: &[String]) -> Result<Option<Opts>, CliError> {
     let s = spec(name).expect("command registered in COMMANDS");
-    Opts::parse(args, s.flags).map_err(|e| CliError::usage(name, e))
+    let o = Opts::parse(args, &s.all_flags()).map_err(|e| CliError::usage(name, e))?;
+    if o.wants_help() {
+        print_help(name);
+        return Ok(None);
+    }
+    Ok(Some(o))
+}
+
+/// A required positional argument; a missing one is a usage error.
+fn positional<'o>(
+    cmd: &'static str,
+    o: &'o Opts,
+    idx: usize,
+    what: &str,
+) -> Result<&'o str, CliError> {
+    o.positional(idx, what).map_err(|e| CliError::usage(cmd, e))
 }
 
 /// A typed flag with a default; bad values are usage errors.
@@ -341,7 +314,12 @@ fn write_obs(rec: &Recorder, path: &str, format: &str) -> Result<usize, CliError
     let body = match format {
         // Chrome traces get flow events too, so Perfetto draws the
         // cross-node causal arrows between the span slices.
-        "chrome" => obs::export::to_chrome_trace_with_flows(&events, &rec.causal_records()),
+        "chrome" => ChromeTrace {
+            events: &events,
+            causal: &rec.causal_records(),
+            ..ChromeTrace::default()
+        }
+        .render(),
         "jsonl" => obs::export::to_jsonl(&events),
         other => {
             return Err(CliError::usage(
@@ -350,8 +328,45 @@ fn write_obs(rec: &Recorder, path: &str, format: &str) -> Result<usize, CliError
             ))
         }
     };
-    std::fs::write(path, body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
+    write_file(path, body)?;
     Ok(events.len())
+}
+
+/// Write an export; a failure is an I/O error naming the file.
+fn write_file(path: &str, body: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, body).map_err(|e| CliError::io(format!("writing {path}"), e))
+}
+
+/// Render a report in the `--format table|csv|json` the caller picked and
+/// write it to `--out FILE`, or to stdout without one.
+fn emit_report(
+    cmd: &'static str,
+    o: &Opts,
+    what: &str,
+    table: impl FnOnce() -> String,
+    csv: impl FnOnce() -> String,
+    json: impl FnOnce() -> String,
+) -> Result<(), CliError> {
+    let format = o.get("format").unwrap_or("table");
+    let body = match format {
+        "table" => table(),
+        "csv" => csv(),
+        "json" => json(),
+        other => {
+            return Err(CliError::usage(
+                cmd,
+                format!("unknown --format {other} (table | csv | json)"),
+            ))
+        }
+    };
+    match o.get("out") {
+        Some(path) => {
+            write_file(path, &body)?;
+            println!("{what} ({format}) -> {path}");
+        }
+        None => print!("{body}"),
+    }
+    Ok(())
 }
 
 /// Trace format implied by a file name: `.jsonl` means line-delimited
@@ -367,11 +382,9 @@ fn format_for(path: &str) -> &'static str {
 /// `eslurm gen-trace --jobs N --system tianhe2a|ng --seed S --out FILE`
 pub fn gen_trace(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "gen-trace";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
+    };
     let system = o.get("system").unwrap_or("tianhe2a");
     let seed = flag_or(CMD, &o, "seed", 42u64)?;
     let mut cfg = match system {
@@ -403,14 +416,10 @@ pub fn gen_trace(args: &[String]) -> Result<(), CliError> {
 /// `eslurm analyze FILE`
 pub fn analyze(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "analyze";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let path = o
-        .positional(0, "trace file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+    };
+    let path = positional(CMD, &o, 0, "trace file")?;
     let jobs = load_trace(path)?;
     let samples = flag_or(CMD, &o, "samples", 20_000usize)?;
     let seed = flag_or(CMD, &o, "seed", 1u64)?;
@@ -457,14 +466,10 @@ pub fn analyze(args: &[String]) -> Result<(), CliError> {
 /// [--obs trace.json]`
 pub fn replay(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "replay";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let path = o
-        .positional(0, "trace file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+    };
+    let path = positional(CMD, &o, 0, "trace file")?;
     let jobs = load_trace(path)?;
     let nodes = flag_or(CMD, &o, "nodes", 1024u32)?;
     let algo = parse_algo(CMD, &o)?;
@@ -510,14 +515,10 @@ pub fn replay(args: &[String]) -> Result<(), CliError> {
 /// `eslurm predict FILE [--warmup N] [--window N]`
 pub fn predict(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "predict";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let path = o
-        .positional(0, "trace file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+    };
+    let path = positional(CMD, &o, 0, "trace file")?;
     let jobs = load_trace(path)?;
     let warmup = flag_or(CMD, &o, "warmup", jobs.len() / 10)?;
     let window = flag_or(CMD, &o, "window", 2000usize)?;
@@ -549,131 +550,151 @@ pub fn predict(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared emulation driver for `simulate` and `trace`: a cluster of
-/// `nodes` compute nodes + `satellites` satellites running a synthetic
-/// job stream for `minutes` of virtual time, optionally with `fault_events`
-/// small outage events hitting the compute nodes.
-#[allow(clippy::too_many_arguments)]
-fn run_emulation(
+/// The emulated run behind every scenario command: a cluster of `nodes`
+/// compute nodes and `satellites` satellites running `jobs` synthetic jobs
+/// for `minutes` of virtual time over `shards` event-queue shards, with
+/// `faults` small outage events hitting the compute nodes.
+#[derive(Clone, Copy)]
+struct Scenario {
     nodes: usize,
     satellites: usize,
     minutes: u64,
-    n_jobs: u64,
+    jobs: u64,
     seed: u64,
-    fault_events: usize,
-    rec: Recorder,
-    sampler: Sampler,
+    faults: usize,
     shards: usize,
-    engine: EngineProfiler,
-    slo: SloEngine,
-    mem: MemProfiler,
-) -> EslurmSystem {
-    let cfg = EslurmConfig {
-        n_satellites: satellites,
-        eq1_width: (nodes / satellites.max(1)).max(32),
-        relay_width: 32,
-        ..Default::default()
-    };
-    let mut builder = EslurmSystemBuilder::new(cfg, nodes, seed)
-        .obs(rec)
-        .sampler(sampler)
-        .shards(shards)
-        .engine_profile(engine)
-        .slo(slo)
-        .mem_profile(mem);
-    if fault_events > 0 {
-        builder = builder.faults(compute_fault_plan(
-            nodes,
-            satellites,
-            minutes,
-            fault_events,
-            seed,
-        ));
-    }
-    let mut sys = builder.build();
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
-    for j in 0..n_jobs {
-        let size = ((j % 5 + 1) as usize * nodes / 8).max(1).min(nodes);
-        let start = (j as usize * 13) % (nodes - size + 1);
-        sys.submit(
-            SimTime::from_secs(5 + j * 7),
-            j,
-            &(start..start + size).collect::<Vec<_>>(),
-            SimSpan::from_secs(60),
-        );
-    }
-    sys.sim.run_until(horizon);
-    sys
 }
 
-/// A plan of `events` small outages on the *compute* nodes: the builder
-/// draws node ids in `0..nodes` compute space, which we shift past the
-/// master and satellites into the deployment's global id space.
-fn compute_fault_plan(
-    nodes: usize,
-    satellites: usize,
-    minutes: u64,
-    events: usize,
-    seed: u64,
-) -> FaultPlan {
-    let horizon = SimSpan::from_secs(minutes * 60);
-    let plan = FaultPlanBuilder::new(nodes, horizon, seed ^ 0xFA17)
-        .small_events(events, 4)
-        .mean_outage(SimSpan::from_secs(120))
-        .build();
-    let offset = (1 + satellites) as u32;
-    let shifted: Vec<Outage> = plan
-        .outages()
-        .iter()
-        .map(|o| Outage {
-            node: NodeId(o.node.0 + offset),
-            ..*o
-        })
-        .collect();
-    FaultPlan::from_outages(1 + satellites + nodes, shifted)
+impl Scenario {
+    /// `simulate`'s defaults; the other commands override some fields.
+    const SIMULATE: Scenario = Scenario {
+        nodes: 256,
+        satellites: 2,
+        minutes: 10,
+        jobs: 20,
+        seed: 42,
+        faults: 0,
+        shards: 1,
+    };
+
+    /// `metrics`' and `mem-report`'s defaults: 128 nodes, 10 jobs, 5 minutes.
+    const METRICS: Scenario = Scenario {
+        nodes: 128,
+        minutes: 5,
+        jobs: 10,
+        ..Scenario::SIMULATE
+    };
+
+    /// The small faulted run `trace`, `explain` and `critical-path` default to.
+    const FAULTED: Scenario = Scenario {
+        nodes: 64,
+        minutes: 5,
+        jobs: 10,
+        faults: 2,
+        ..Scenario::SIMULATE
+    };
+
+    /// Read the scenario flags over `defaults`. Only commands that declare
+    /// `--shards` can set it; the rest keep the default's shard count. A
+    /// run with no compute nodes or no satellites (ESlurm relays every
+    /// job through a satellite) is a usage error.
+    fn parse(cmd: &'static str, o: &Opts, defaults: Scenario) -> Result<Scenario, CliError> {
+        let s = Scenario {
+            nodes: flag_or(cmd, o, "nodes", defaults.nodes)?,
+            satellites: flag_or(cmd, o, "satellites", defaults.satellites)?,
+            minutes: flag_or(cmd, o, "minutes", defaults.minutes)?,
+            jobs: flag_or(cmd, o, "jobs", defaults.jobs)?,
+            seed: flag_or(cmd, o, "seed", defaults.seed)?,
+            faults: flag_or(cmd, o, "faults", defaults.faults)?,
+            shards: flag_or(cmd, o, "shards", defaults.shards)?,
+        };
+        if s.nodes == 0 {
+            return Err(CliError::usage(cmd, "--nodes must be at least 1"));
+        }
+        if s.satellites == 0 {
+            return Err(CliError::usage(cmd, "--satellites must be at least 1"));
+        }
+        Ok(s)
+    }
+
+    /// The virtual time the run stops at.
+    fn horizon(&self) -> SimTime {
+        SimTime::ZERO + SimSpan::from_secs(self.minutes * 60)
+    }
+
+    /// Build the cluster, let `arm` install the instruments the command
+    /// reads back, submit the job stream and run to the horizon.
+    fn run(&self, arm: impl FnOnce(EslurmSystemBuilder) -> EslurmSystemBuilder) -> EslurmSystem {
+        let cfg = EslurmConfig {
+            n_satellites: self.satellites,
+            eq1_width: (self.nodes / self.satellites).max(32),
+            relay_width: 32,
+            ..Default::default()
+        };
+        let mut builder =
+            arm(EslurmSystemBuilder::new(cfg, self.nodes, self.seed).shards(self.shards));
+        if self.faults > 0 {
+            builder = builder.faults(self.fault_plan());
+        }
+        let mut sys = builder.build();
+        let nodes = self.nodes;
+        for j in 0..self.jobs {
+            let size = ((j % 5 + 1) as usize * nodes / 8).max(1).min(nodes);
+            let start = (j as usize * 13) % (nodes - size + 1);
+            sys.submit(
+                SimTime::from_secs(5 + j * 7),
+                j,
+                &(start..start + size).collect::<Vec<_>>(),
+                SimSpan::from_secs(60),
+            );
+        }
+        sys.sim.run_until(self.horizon());
+        sys
+    }
+
+    /// A plan of `faults` small outages on the *compute* nodes: the builder
+    /// draws node ids in `0..nodes` compute space, which we shift past the
+    /// master and satellites into the deployment's global id space.
+    fn fault_plan(&self) -> FaultPlan {
+        let horizon = SimSpan::from_secs(self.minutes * 60);
+        let plan = FaultPlanBuilder::new(self.nodes, horizon, self.seed ^ 0xFA17)
+            .small_events(self.faults, 4)
+            .mean_outage(SimSpan::from_secs(120))
+            .build();
+        let offset = (1 + self.satellites) as u32;
+        let shifted: Vec<Outage> = plan
+            .outages()
+            .iter()
+            .map(|o| Outage {
+                node: NodeId(o.node.0 + offset),
+                ..*o
+            })
+            .collect();
+        FaultPlan::from_outages(1 + self.satellites + self.nodes, shifted)
+    }
 }
 
 /// `eslurm simulate --nodes N --satellites M --minutes T --jobs J
 /// [--faults K] [--obs trace.json]`
 pub fn simulate(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "simulate";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 256usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 10u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 20u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-
+    };
+    let s = Scenario::parse(CMD, &o, Scenario::SIMULATE)?;
     let rec = if o.get("obs").is_some() {
         Recorder::full()
     } else {
         Recorder::disabled()
     };
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    let sys = s.run(|b| b.obs(rec.clone()));
 
     let master = sys.master();
     println!(
-        "emulated {nodes} compute nodes + {satellites} satellites for {minutes} virtual minutes"
+        "emulated {} compute nodes + {} satellites for {} virtual minutes",
+        s.nodes, s.satellites, s.minutes
     );
-    println!("jobs completed:    {}/{n_jobs}", master.records.len());
+    println!("jobs completed:    {}/{}", master.records.len(), s.jobs);
     if let Some(r) = master.records.first() {
         println!("first occupation:  {:.3}s", r.occupation().as_secs_f64());
     }
@@ -703,41 +724,25 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
 /// --faults K --out FILE --format chrome|jsonl`
 pub fn trace_cmd(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "trace";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 64usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 5u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 10u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 2usize)?;
+    };
+    let s = Scenario::parse(CMD, &o, Scenario::FAULTED)?;
     let out = o.get("out").unwrap_or("trace.json");
     let format = o.get("format").unwrap_or_else(|| format_for(out));
 
     let rec = Recorder::full();
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    let sys = s.run(|b| b.obs(rec.clone()));
     let n = write_obs(&rec, out, format)?;
     println!(
-        "traced {nodes}+{satellites} nodes for {minutes} virtual minutes: \
-         {n} events -> {out} ({format})"
+        "traced {}+{} nodes for {} virtual minutes: {n} events -> {out} ({format})",
+        s.nodes, s.satellites, s.minutes
     );
-    println!("jobs completed:    {}/{n_jobs}", sys.master().records.len());
+    println!(
+        "jobs completed:    {}/{}",
+        sys.master().records.len(),
+        s.jobs
+    );
     print!("{}", rec.summary());
     Ok(())
 }
@@ -754,17 +759,10 @@ pub fn trace_cmd(args: &[String]) -> Result<(), CliError> {
 /// run (faulted runs also auto-dump on the first `node_down`).
 pub fn metrics(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "metrics";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 128usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 5u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 10u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
+    };
+    let s = Scenario::parse(CMD, &o, Scenario::METRICS)?;
     let interval_s = flag_or(CMD, &o, "interval", 1u64)?;
     if interval_s == 0 {
         return Err(CliError::usage(CMD, "--interval must be at least 1"));
@@ -774,30 +772,18 @@ pub fn metrics(args: &[String]) -> Result<(), CliError> {
         Some(path) => Recorder::with_flight(FlightConfig::dumping_to(path)),
         None => Recorder::metrics_only(),
     };
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
-    let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), horizon);
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        sampler.clone(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    let sampler = Sampler::every_until(SimSpan::from_secs(interval_s), s.horizon());
+    let sys = s.run(|b| b.obs(rec.clone()).sampler(sampler.clone()));
 
     let store = sampler.store();
     println!(
-        "sampled {} series ({} points) every {interval_s}s over {minutes} \
-         virtual minutes; {}/{n_jobs} jobs completed",
+        "sampled {} series ({} points) every {interval_s}s over {} \
+         virtual minutes; {}/{} jobs completed",
         store.len(),
         store.n_points(),
-        sys.master().records.len()
+        s.minutes,
+        sys.master().records.len(),
+        s.jobs
     );
     println!(
         "{:<44} {:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -815,13 +801,11 @@ pub fn metrics(args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(path) = o.get("csv") {
-        std::fs::write(path, sampler.to_csv())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        write_file(path, sampler.to_csv())?;
         println!("csv:    {} series -> {path}", store.len());
     }
     if let Some(path) = o.get("prom") {
-        std::fs::write(path, obs::export::to_prometheus(&rec))
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        write_file(path, obs::export::to_prometheus(&rec))?;
         println!("prom:   final exposition -> {path}");
     }
     if let Some(path) = o.get("flight") {
@@ -839,27 +823,9 @@ pub fn metrics(args: &[String]) -> Result<(), CliError> {
 /// Run the reference fault scenario (the same defaults as `eslurm trace`)
 /// with full causal tracing on and rebuild the per-trace causal trees.
 fn causal_run(cmd: &'static str, o: &Opts) -> Result<Vec<TraceTree>, CliError> {
-    let nodes = flag_or(cmd, o, "nodes", 64usize)?;
-    let satellites = flag_or(cmd, o, "satellites", 2usize)?;
-    let minutes = flag_or(cmd, o, "minutes", 5u64)?;
-    let n_jobs = flag_or(cmd, o, "jobs", 10u64)?;
-    let seed = flag_or(cmd, o, "seed", 42u64)?;
-    let fault_events = flag_or(cmd, o, "faults", 2usize)?;
+    let s = Scenario::parse(cmd, o, Scenario::FAULTED)?;
     let rec = Recorder::full();
-    run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        1,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    s.run(|b| b.obs(rec.clone()));
     Ok(build_traces(&rec.causal_records()))
 }
 
@@ -871,14 +837,10 @@ fn causal_run(cmd: &'static str, o: &Opts) -> Result<Vec<TraceTree>, CliError> {
 /// critical path with the per-hop latency breakdown.
 pub fn explain(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "explain";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let id_str = o
-        .positional(0, "trace id")
-        .map_err(|e| CliError::usage(CMD, e))?;
+    };
+    let id_str = positional(CMD, &o, 0, "trace id")?;
     let id: u64 = id_str
         .parse()
         .map_err(|_| CliError::usage(CMD, format!("trace id `{id_str}` is not an integer")))?;
@@ -906,11 +868,9 @@ pub fn explain(args: &[String]) -> Result<(), CliError> {
 /// kind) with its per-hop breakdown, then latency percentiles per flow.
 pub fn critical_path(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "critical-path";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
+    };
     let flow = match o.get("flow") {
         Some(s) => Some(FlowKind::parse(s).ok_or_else(|| {
             CliError::usage(
@@ -1072,14 +1032,10 @@ fn audit_run(cmd: &'static str, o: &Opts) -> Result<AuditRun, CliError> {
 /// the decision was based on.
 pub fn why_job(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "why-job";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let id_str = o
-        .positional(0, "job id")
-        .map_err(|e| CliError::usage(CMD, e))?;
+    };
+    let id_str = positional(CMD, &o, 0, "job id")?;
     let id: u64 = id_str
         .parse()
         .map_err(|_| CliError::usage(CMD, format!("job id `{id_str}` is not an integer")))?;
@@ -1114,11 +1070,9 @@ pub fn why_job(args: &[String]) -> Result<(), CliError> {
 /// per-job queued→run lanes next to the scheduler's flow arrows.
 pub fn sched_report(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "sched-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
+    };
     let run = audit_run(CMD, &o)?;
     let records = run.log.records();
     println!(
@@ -1135,17 +1089,17 @@ pub fn sched_report(args: &[String]) -> Result<(), CliError> {
     );
     print!("{}", render_report(&AuditReport::from_records(&records)));
     if let Some(path) = o.get("audit") {
-        std::fs::write(path, obs::audit::to_jsonl(&records))
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        write_file(path, obs::audit::to_jsonl(&records))?;
         println!("audit:  {} decisions -> {path}", records.len());
     }
     if let Some(path) = o.get("obs") {
-        let doc = obs::export::to_chrome_trace_with_flows_and_jobs(
-            &run.rec.events(),
-            &run.rec.causal_records(),
-            &records,
-        );
-        std::fs::write(path, doc).map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        let doc = ChromeTrace {
+            events: &run.rec.events(),
+            causal: &run.rec.causal_records(),
+            audit: &records,
+            ..ChromeTrace::default()
+        };
+        write_file(path, doc.render())?;
         println!("trace:  job lanes + flows -> {path}");
     }
     Ok(())
@@ -1170,18 +1124,18 @@ pub fn sched_report(args: &[String]) -> Result<(), CliError> {
 /// `--trace` to measure the engine itself.
 pub fn engine_report(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "engine-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 256usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 4usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 10u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 20u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-    let shards = flag_or(CMD, &o, "shards", 4usize)?;
+    };
+    let s = Scenario::parse(
+        CMD,
+        &o,
+        Scenario {
+            satellites: 4,
+            shards: 4,
+            ..Scenario::SIMULATE
+        },
+    )?;
 
     // Recording an execution trace adds work to every event the profile
     // times, so only arm the recorder when the caller asked for a trace.
@@ -1191,44 +1145,31 @@ pub fn engine_report(args: &[String]) -> Result<(), CliError> {
         Recorder::disabled()
     };
     let profiler = EngineProfiler::enabled();
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        Sampler::disabled(),
-        shards,
-        profiler.clone(),
-        SloEngine::disabled(),
-        MemProfiler::disabled(),
-    );
+    let sys = s.run(|b| b.obs(rec.clone()).engine_profile(profiler.clone()));
     let report = profiler
         .report()
         .expect("enabled profiler is attached by SimCluster::new");
     print!("{}", report.render());
     println!(
-        "jobs completed: {}/{n_jobs}; engine events: {}",
+        "jobs completed: {}/{}; engine events: {}",
         sys.master().records.len(),
+        s.jobs,
         sys.sim.events_processed()
     );
     if let Some(path) = o.get("csv") {
         let mut store = SeriesStore::new();
-        report.to_series(&mut store, SimTime::ZERO + SimSpan::from_secs(minutes * 60));
-        std::fs::write(path, store.to_csv())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        report.to_series(&mut store, s.horizon());
+        write_file(path, store.to_csv())?;
         println!("csv:    {} series -> {path}", store.len());
     }
     if let Some(path) = o.get("trace") {
-        let body = obs::export::to_chrome_trace_full(
-            &rec.events(),
-            &rec.causal_records(),
-            &[],
-            &profiler.spans(),
-        );
-        std::fs::write(path, body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        let doc = ChromeTrace {
+            events: &rec.events(),
+            causal: &rec.causal_records(),
+            engine: &profiler.spans(),
+            ..ChromeTrace::default()
+        };
+        write_file(path, doc.render())?;
         println!("trace:  virtual-time lanes + wall-clock engine track -> {path}");
     }
     Ok(())
@@ -1248,21 +1189,20 @@ pub fn engine_report(args: &[String]) -> Result<(), CliError> {
 /// exits 4 when any spec recorded a breach, mirroring `diff`'s exit 3.
 pub fn slo_report(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "slo-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 128usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 10u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 20u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
+    };
+    let s = Scenario::parse(
+        CMD,
+        &o,
+        Scenario {
+            nodes: 128,
+            ..Scenario::SIMULATE
+        },
+    )?;
     let sweep_p99_us = flag_or(CMD, &o, "sweep-p99", 10_000_000f64)?;
     let queue_wait_p90_s = flag_or(CMD, &o, "queue-wait-p90", 600f64)?;
     let inbox_depth = flag_or(CMD, &o, "inbox-depth", 10_000f64)?;
-    let format = o.get("format").unwrap_or("table");
     let check = flag_or(CMD, &o, "check", false)?;
 
     let rec = match o.get("flight") {
@@ -1271,49 +1211,26 @@ pub fn slo_report(args: &[String]) -> Result<(), CliError> {
         ),
         None => Recorder::metrics_only(),
     };
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), s.horizon());
     let slo = SloEngine::paper_presets(sweep_p99_us, queue_wait_p90_s, inbox_depth);
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        rec.clone(),
-        sampler,
-        1,
-        EngineProfiler::disabled(),
-        slo,
-        MemProfiler::disabled(),
-    );
+    let sys = s.run(|b| b.obs(rec).sampler(sampler).slo(slo));
     let report = sys
         .sim
         .slo_engine()
         .report()
         .expect("engine armed above is enabled");
-    let body = match format {
-        "table" => report.render(),
-        "csv" => report.to_csv(),
-        "json" => report.to_json(),
-        other => {
-            return Err(CliError::usage(
-                CMD,
-                format!("unknown --format {other} (table | csv | json)"),
-            ))
-        }
-    };
-    match o.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
-            println!("slo report ({format}) -> {path}");
-        }
-        None => print!("{body}"),
-    }
+    emit_report(
+        CMD,
+        &o,
+        "slo report",
+        || report.render(),
+        || report.to_csv(),
+        || report.to_json(),
+    )?;
     println!(
-        "jobs completed: {}/{n_jobs}; engine events: {}",
+        "jobs completed: {}/{}; engine events: {}",
         sys.master().records.len(),
+        s.jobs,
         sys.sim.events_processed()
     );
     let unmet = report.unmet();
@@ -1339,19 +1256,10 @@ pub fn slo_report(args: &[String]) -> Result<(), CliError> {
 /// explains and exits 0.
 pub fn mem_report(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "mem-report";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let nodes = flag_or(CMD, &o, "nodes", 128usize)?;
-    let satellites = flag_or(CMD, &o, "satellites", 2usize)?;
-    let minutes = flag_or(CMD, &o, "minutes", 5u64)?;
-    let n_jobs = flag_or(CMD, &o, "jobs", 10u64)?;
-    let seed = flag_or(CMD, &o, "seed", 42u64)?;
-    let fault_events = flag_or(CMD, &o, "faults", 0usize)?;
-    let shards = flag_or(CMD, &o, "shards", 1usize)?;
-    let format = o.get("format").unwrap_or("table");
+    };
+    let s = Scenario::parse(CMD, &o, Scenario::METRICS)?;
 
     if !mem_profile_compiled() {
         println!(
@@ -1362,54 +1270,30 @@ pub fn mem_report(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let horizon = SimTime::ZERO + SimSpan::from_secs(minutes * 60);
     // The sampler drives the sampling tick that feeds `mem_host_*` series;
     // arm it on the 1 Hz cadence whether or not `--csv` exports them.
-    let sampler = Sampler::every_until(SimSpan::from_secs(1), horizon);
+    let sampler = Sampler::every_until(SimSpan::from_secs(1), s.horizon());
     let profiler = MemProfiler::enabled();
-    let sys = run_emulation(
-        nodes,
-        satellites,
-        minutes,
-        n_jobs,
-        seed,
-        fault_events,
-        Recorder::disabled(),
-        sampler.clone(),
-        shards,
-        EngineProfiler::disabled(),
-        SloEngine::disabled(),
-        profiler.clone(),
-    );
+    let sys = s.run(|b| b.sampler(sampler.clone()).mem_profile(profiler.clone()));
     let report = profiler
         .report()
         .expect("mem_profile_compiled() checked above, so the handle is armed");
-    let body = match format {
-        "table" => report.render(),
-        "csv" => report.to_csv(),
-        "json" => report.to_json(),
-        other => {
-            return Err(CliError::usage(
-                CMD,
-                format!("unknown --format {other} (table | csv | json)"),
-            ))
-        }
-    };
-    match o.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body).map_err(|e| CliError::io(format!("writing {path}"), e))?;
-            println!("mem report ({format}) -> {path}");
-        }
-        None => print!("{body}"),
-    }
+    emit_report(
+        CMD,
+        &o,
+        "mem report",
+        || report.render(),
+        || report.to_csv(),
+        || report.to_json(),
+    )?;
     println!(
-        "jobs completed: {}/{n_jobs}; engine events: {}",
+        "jobs completed: {}/{}; engine events: {}",
         sys.master().records.len(),
+        s.jobs,
         sys.sim.events_processed()
     );
     if let Some(path) = o.get("csv") {
-        std::fs::write(path, sampler.host_csv())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
+        write_file(path, sampler.host_csv())?;
         println!("csv:    mem_host_* series -> {path}");
     }
     Ok(())
@@ -1431,17 +1315,11 @@ pub fn mem_report(args: &[String]) -> Result<(), CliError> {
 /// an alias for `--include-domain wallclock`.
 pub fn diff(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "diff";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let base_path = o
-        .positional(0, "baseline csv")
-        .map_err(|e| CliError::usage(CMD, e))?;
-    let new_path = o
-        .positional(1, "candidate csv")
-        .map_err(|e| CliError::usage(CMD, e))?;
+    };
+    let base_path = positional(CMD, &o, 0, "baseline csv")?;
+    let new_path = positional(CMD, &o, 1, "candidate csv")?;
     let mut opts = DiffOptions {
         default_threshold_pct: flag_or(CMD, &o, "threshold-pct", 5.0f64)?,
         gate_all: flag_or(CMD, &o, "all", false)?,
@@ -1520,17 +1398,11 @@ pub fn diff(args: &[String]) -> Result<(), CliError> {
 /// `eslurm convert IN OUT`
 pub fn convert(args: &[String]) -> Result<(), CliError> {
     const CMD: &str = "convert";
-    let o = parse_opts(CMD, args)?;
-    if o.wants_help() {
-        print_help(CMD);
+    let Some(o) = parse_opts(CMD, args)? else {
         return Ok(());
-    }
-    let input = o
-        .positional(0, "input file")
-        .map_err(|e| CliError::usage(CMD, e))?;
-    let output = o
-        .positional(1, "output file")
-        .map_err(|e| CliError::usage(CMD, e))?;
+    };
+    let input = positional(CMD, &o, 0, "input file")?;
+    let output = positional(CMD, &o, 1, "output file")?;
     let jobs = load_trace(input)?;
     save_trace(&jobs, output)?;
     println!("converted {} jobs: {input} -> {output}", jobs.len());
@@ -1601,5 +1473,25 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate command name in COMMANDS");
+    }
+
+    /// A cluster with no compute nodes or no satellites is rejected as a
+    /// usage error by every emulation command, before anything is built.
+    #[test]
+    fn degenerate_scenarios_are_usage_errors() {
+        let scenario_cmds = COMMANDS.iter().filter(|c| c.shared == SCENARIO_FLAGS);
+        assert_eq!(scenario_cmds.clone().count(), 8, "emulation commands");
+        for c in scenario_cmds {
+            for flag in ["--nodes", "--satellites"] {
+                let mut args = vec![flag.to_string(), "0".to_string()];
+                if c.name == "explain" {
+                    args.insert(0, "1".to_string()); // the trace id
+                }
+                match dispatch(c.name, &args) {
+                    Some(Err(e)) => assert_eq!(e.exit_code(), 2, "{} {flag} 0: {e}", c.name),
+                    _ => panic!("{} {flag} 0 was not rejected", c.name),
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Exporters: Chrome-trace JSON (for `chrome://tracing` / Perfetto),
-//! JSONL, the JSON metrics summary, and the Prometheus text exposition.
+//! JSONL, and the Prometheus text exposition.
 //!
 //! Every exported field is numeric or a static string from the event
 //! taxonomy, so the JSON is assembled by hand — no escaping, no serde
@@ -14,7 +14,7 @@ use crate::causal::CausalRecord;
 use crate::engine::{EngineSpan, ENGINE_TRACK_PID};
 use crate::event::TraceEvent;
 use crate::metric::{Counter, Gauge, Hist, HistSnapshot};
-use crate::recorder::{LabeledValue, MetricsSummary, Recorder};
+use crate::recorder::{LabeledValue, Recorder};
 use crate::slo::{SloEvent, SLO_TRACK_PID};
 
 /// Append one event as a Chrome-trace JSON object. Spans use ph "X"
@@ -52,110 +52,115 @@ fn push_chrome_event(out: &mut String, e: &TraceEvent) {
 /// Events are sorted by timestamp so the file loads with a monotone
 /// timeline regardless of recording order.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    to_chrome_trace_with_flows(events, &[])
-}
-
-/// Like [`to_chrome_trace`], but also rendering each causal hop as a pair
-/// of Chrome *flow events* (`ph:"s"` on the sender at send time, `ph:"f"`
-/// binding to the receiver's enclosing slice at receive time), so Perfetto
-/// draws cross-node arrows from a send to the work it triggered.
-pub fn to_chrome_trace_with_flows(events: &[TraceEvent], causal: &[CausalRecord]) -> String {
-    to_chrome_trace_with_flows_and_jobs(events, causal, &[])
-}
-
-/// Like [`to_chrome_trace_with_flows`], but also rendering the decision
-/// audit log as *job lanes*: a second Chrome process (pid 1, one thread
-/// per job id) whose queued→run spans sit next to the node lanes (pid 0)
-/// and PR 4's flow arrows, so Perfetto shows each job's wait, its runtime,
-/// and the backfill skips in between.
-pub fn to_chrome_trace_with_flows_and_jobs(
-    events: &[TraceEvent],
-    causal: &[CausalRecord],
-    audit: &[DecisionRecord],
-) -> String {
-    to_chrome_trace_full(events, causal, audit, &[])
-}
-
-/// Like [`to_chrome_trace_with_flows_and_jobs`], but also rendering the
-/// wall-clock engine profile as a third Chrome process
-/// ([`crate::engine::ENGINE_TRACK_PID`], one thread per shard). The engine
-/// track measures *wall* microseconds while every other lane measures
-/// *virtual* microseconds; the separate process id is what keeps Perfetto
-/// from interleaving the two clock domains on one track. With no engine
-/// spans the output is byte-identical to the virtual-time-only export.
-pub fn to_chrome_trace_full(
-    events: &[TraceEvent],
-    causal: &[CausalRecord],
-    audit: &[DecisionRecord],
-    engine: &[EngineSpan],
-) -> String {
-    to_chrome_trace_with_slo(events, causal, audit, engine, &[])
-}
-
-/// Like [`to_chrome_trace_full`], but also stamping SLO breach / clear /
-/// anomaly transitions as instants on their own track
-/// ([`crate::slo::SLO_TRACK_PID`], one thread per spec). SLO events are
-/// virtual-time stamped like the node lanes; the separate process id
-/// groups them as one "slo" strip in Perfetto. With no SLO events the
-/// output is byte-identical to [`to_chrome_trace_full`].
-pub fn to_chrome_trace_with_slo(
-    events: &[TraceEvent],
-    causal: &[CausalRecord],
-    audit: &[DecisionRecord],
-    engine: &[EngineSpan],
-    slo: &[SloEvent],
-) -> String {
-    let mut items: Vec<(u64, String)> = Vec::with_capacity(
-        events.len() + causal.len() * 2 + audit.len() + engine.len() + slo.len(),
-    );
-    for e in events {
-        let mut s = String::with_capacity(96);
-        push_chrome_event(&mut s, e);
-        items.push((e.ts_us, s));
+    ChromeTrace {
+        events,
+        ..ChromeTrace::default()
     }
-    for r in causal {
-        if let CausalRecord::Hop {
-            span,
-            flow,
-            from,
-            to,
-            send_us,
-            recv_us,
-            ..
-        } = *r
-        {
-            items.push((
+    .render()
+}
+
+/// One Chrome-trace document assembled from up to five layers. Every
+/// layer is optional: [`Default`] leaves all of them empty, and an empty
+/// layer adds no bytes, so a caller names only the layers it recorded.
+///
+/// ```
+/// use obs::export::ChromeTrace;
+/// let rec = obs::Recorder::full();
+/// let doc = ChromeTrace {
+///     events: &rec.events(),
+///     causal: &rec.causal_records(),
+///     ..ChromeTrace::default()
+/// }
+/// .render();
+/// assert!(doc.starts_with("{\"traceEvents\":["));
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ChromeTrace<'a> {
+    /// Node lanes (pid 0, one thread per node): spans as `ph:"X"`,
+    /// instants as process-scoped `ph:"i"`.
+    pub events: &'a [TraceEvent],
+    /// Causal hops, each a pair of Chrome *flow events* (`ph:"s"` on the
+    /// sender at send time, `ph:"f"` binding to the receiver's enclosing
+    /// slice at receive time), so Perfetto draws cross-node arrows from a
+    /// send to the work it triggered.
+    pub causal: &'a [CausalRecord],
+    /// The decision audit log as *job lanes*: pid 1, one thread per job
+    /// id, with queued→run spans and backfill-skip instants.
+    pub audit: &'a [DecisionRecord],
+    /// The wall-clock engine profile on its own process
+    /// ([`crate::engine::ENGINE_TRACK_PID`], one thread per shard). These
+    /// spans measure *wall* microseconds while every other layer measures
+    /// *virtual* microseconds; the separate process id keeps Perfetto from
+    /// interleaving the two clock domains on one track.
+    pub engine: &'a [EngineSpan],
+    /// SLO breach / clear / anomaly transitions as virtual-time instants
+    /// on their own track ([`crate::slo::SLO_TRACK_PID`], one thread per
+    /// spec).
+    pub slo: &'a [SloEvent],
+}
+
+impl ChromeTrace<'_> {
+    /// Render the document, every item sorted by timestamp.
+    pub fn render(&self) -> String {
+        let ChromeTrace {
+            events,
+            causal,
+            audit,
+            engine,
+            slo,
+        } = *self;
+        let mut items: Vec<(u64, String)> = Vec::with_capacity(
+            events.len() + causal.len() * 2 + audit.len() + engine.len() + slo.len(),
+        );
+        for e in events {
+            let mut s = String::with_capacity(96);
+            push_chrome_event(&mut s, e);
+            items.push((e.ts_us, s));
+        }
+        for r in causal {
+            if let CausalRecord::Hop {
+                span,
+                flow,
+                from,
+                to,
                 send_us,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":{span},\
-                     \"pid\":0,\"tid\":{from},\"ts\":{send_us}}}",
-                    flow.name()
-                ),
-            ));
-            items.push((
                 recv_us,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\
-                     \"id\":{span},\"pid\":0,\"tid\":{to},\"ts\":{recv_us}}}",
-                    flow.name()
-                ),
-            ));
+                ..
+            } = *r
+            {
+                items.push((
+                    send_us,
+                    format!(
+                        "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":{span},\
+                         \"pid\":0,\"tid\":{from},\"ts\":{send_us}}}",
+                        flow.name()
+                    ),
+                ));
+                items.push((
+                    recv_us,
+                    format!(
+                        "{{\"name\":\"{}\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\",\
+                         \"id\":{span},\"pid\":0,\"tid\":{to},\"ts\":{recv_us}}}",
+                        flow.name()
+                    ),
+                ));
+            }
         }
-    }
-    push_job_lane_items(&mut items, audit);
-    push_engine_track_items(&mut items, engine);
-    push_slo_track_items(&mut items, slo);
-    items.sort_by_key(|(ts, _)| *ts);
-    let mut out = String::with_capacity(items.len() * 96 + 64);
-    out.push_str("{\"traceEvents\":[");
-    for (i, (_, s)) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        push_job_lane_items(&mut items, audit);
+        push_engine_track_items(&mut items, engine);
+        push_slo_track_items(&mut items, slo);
+        items.sort_by_key(|(ts, _)| *ts);
+        let mut out = String::with_capacity(items.len() * 96 + 64);
+        out.push_str("{\"traceEvents\":[");
+        for (i, (_, s)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(s);
         }
-        out.push_str(s);
+        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        out
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 /// Fold the audit log into per-job lane items on pid 1: `queued` spans
@@ -365,55 +370,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
             e.b
         );
     }
-    out
-}
-
-/// Render a metrics summary as a single JSON object
-/// (`{"counters":{...},"gauges":{...},"hists":{...}}`).
-pub fn summary_to_json(s: &MetricsSummary) -> String {
-    let mut out = String::new();
-    out.push_str("{\"counters\":{");
-    for (i, (c, v)) in s.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{v}", c.name());
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (g, v)) in s.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{v}", g.name());
-    }
-    out.push_str("},\"hists\":{");
-    for (i, (h, snap)) in s.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"sum\":{},\"bounds\":[",
-            h.name(),
-            snap.count,
-            snap.sum
-        );
-        for (j, b) in snap.bounds.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("],\"buckets\":[");
-        for (j, c) in snap.counts.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{c}");
-        }
-        out.push_str("]}");
-    }
-    let _ = write!(out, "}},\"n_events\":{}}}", s.n_events);
     out
 }
 
@@ -634,7 +590,12 @@ mod tests {
             recv_us: 100,
             process_us: 40,
         });
-        let doc = to_chrome_trace_with_flows(&r.events(), &r.causal_records());
+        let doc = ChromeTrace {
+            events: &r.events(),
+            causal: &r.causal_records(),
+            ..ChromeTrace::default()
+        }
+        .render();
         let v = serde_json::parse_value_str(&doc).expect("flow trace must be valid JSON");
         let events = v
             .get("traceEvents")
@@ -677,7 +638,11 @@ mod tests {
         );
         log.record(5_000, 7, est, Decision::Started { nodes: 4 });
         log.record(9_000, 7, est, Decision::Completed { est_error_us: 0 });
-        let doc = to_chrome_trace_with_flows_and_jobs(&[], &[], &log.records());
+        let doc = ChromeTrace {
+            audit: &log.records(),
+            ..ChromeTrace::default()
+        }
+        .render();
         let v = serde_json::parse_value_str(&doc).expect("job-lane trace must be valid JSON");
         let events = v
             .get("traceEvents")
@@ -720,28 +685,6 @@ mod tests {
             assert!(v.get("ts_us").is_some());
             assert!(v.get("kind").and_then(as_str).is_some());
         }
-    }
-
-    #[test]
-    fn summary_json_parses_and_round_trips_counts() {
-        use crate::metric::{Counter, Hist};
-        let r = Recorder::metrics_only();
-        r.add(Counter::MsgsSent, 12);
-        r.observe(Hist::HopLatencyUs, 150);
-        let doc = summary_to_json(&r.summary());
-        let v = serde_json::parse_value_str(&doc).expect("summary is valid JSON");
-        assert_eq!(
-            v.get("counters")
-                .and_then(|c| c.get("msgs_sent"))
-                .and_then(as_u64),
-            Some(12)
-        );
-        let hist = v
-            .get("hists")
-            .and_then(|h| h.get("hop_latency_us"))
-            .expect("hist entry");
-        assert_eq!(hist.get("count").and_then(as_u64), Some(1));
-        assert_eq!(hist.get("sum").and_then(as_u64), Some(150));
     }
 
     #[test]

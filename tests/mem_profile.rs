@@ -1,5 +1,5 @@
 //! The tagged tracking allocator's non-perturbation guarantee, end to
-//! end: the same fixed-seed ESlurm scenario as `engine_profile.rs`
+//! end: the shared fixed-seed ESlurm scenario (`tests/common`)
 //! produces **bit-identical outcomes** and **byte-identical virtual-time
 //! exports** (Chrome trace, event JSONL, metrics CSV) with the heap
 //! profiler armed or not, for every shard count. The `mem_host_*` series
@@ -12,92 +12,11 @@
 //! every assertion here holds trivially in that configuration too — the
 //! suite runs in both CI modes.
 
-use eslurm_suite::emu::{FaultPlan, NodeId, Outage};
-use eslurm_suite::eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder};
+mod common;
+
+use common::{outcome_fingerprint, run};
 use eslurm_suite::obs::{export, mem_profile_compiled, MemProfiler, Recorder, Sampler};
 use eslurm_suite::simclock::{SimSpan, SimTime};
-
-fn cfg(m: usize) -> EslurmConfig {
-    EslurmConfig {
-        n_satellites: m,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    }
-}
-
-/// The `sharded_des.rs` scenario — 3 satellites, 180 compute nodes, two
-/// mid-run outages, 12 jobs, run to t=600s — with a heap profiler
-/// threaded through the builder.
-fn run(shards: usize, obs: Recorder, sampler: Sampler, mem: MemProfiler) -> EslurmSystem {
-    let m = 3;
-    let n_slaves = 180;
-    let total = 1 + m + n_slaves;
-    let plan = FaultPlan::from_outages(
-        total,
-        vec![
-            Outage {
-                node: NodeId((1 + m + 17) as u32),
-                down_at: SimTime::from_secs(90),
-                up_at: SimTime::from_secs(400),
-            },
-            Outage {
-                node: NodeId((1 + m + 101) as u32),
-                down_at: SimTime::from_secs(150),
-                up_at: SimTime::from_secs(2000),
-            },
-        ],
-    );
-    let mut sys = EslurmSystemBuilder::new(cfg(m), n_slaves, 33)
-        .faults(plan)
-        .obs(obs)
-        .sampler(sampler)
-        .shards(shards)
-        .mem_profile(mem)
-        .build();
-    for j in 0..12u64 {
-        let start = (j as usize * 13) % (n_slaves - 48);
-        sys.submit(
-            SimTime::from_secs(10 + j * 25),
-            j,
-            &(start..start + 40).collect::<Vec<_>>(),
-            SimSpan::from_secs(20 + (j % 4) * 15),
-        );
-    }
-    sys.sim.run_until(SimTime::from_secs(600));
-    sys
-}
-
-fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
-    let records: Vec<String> = sys
-        .master()
-        .records
-        .iter()
-        .map(|r| format!("{:?}", r))
-        .collect();
-    let meters: Vec<String> = (0..1 + sys.n_satellites + sys.n_slaves)
-        .map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.peak_sockets(),
-                m.sockets(),
-                m.peak_mem()
-            )
-        })
-        .collect();
-    (
-        sys.sim.now(),
-        sys.sim.events_processed(),
-        sys.sim.dropped_messages(),
-        records,
-        meters,
-    )
-}
 
 /// Heap profiling on vs. off changes nothing the simulation can observe:
 /// same outcomes and a byte-identical virtual-time sampler CSV, at every
@@ -108,7 +27,11 @@ fn profiled_runs_are_bit_identical_to_unprofiled() {
     for shards in [1usize, 2, 4, 8] {
         let make = |mem: MemProfiler| {
             let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-            let sys = run(shards, Recorder::metrics_only(), s.clone(), mem);
+            let sys = run(shards, |b| {
+                b.obs(Recorder::metrics_only())
+                    .sampler(s.clone())
+                    .mem_profile(mem)
+            });
             (outcome_fingerprint(&sys), s.to_csv(), s.host_csv())
         };
         let (plain_fp, plain_csv, plain_host) = make(MemProfiler::disabled());
@@ -151,12 +74,7 @@ fn profiled_runs_are_bit_identical_to_unprofiled() {
 #[test]
 fn profiled_trace_exports_are_byte_identical() {
     let plain_rec = Recorder::full();
-    let _ = run(
-        1,
-        plain_rec.clone(),
-        Sampler::disabled(),
-        MemProfiler::disabled(),
-    );
+    let _ = run(1, |b| b.obs(plain_rec.clone()));
     let plain_chrome = export::to_chrome_trace(&plain_rec.events());
     let plain_jsonl = export::to_jsonl(&plain_rec.events());
     assert!(plain_rec.events().len() > 1000, "trace suspiciously small");
@@ -164,7 +82,7 @@ fn profiled_trace_exports_are_byte_identical() {
     for shards in [1usize, 4] {
         let rec = Recorder::full();
         let profiler = MemProfiler::enabled();
-        let _ = run(shards, rec.clone(), Sampler::disabled(), profiler);
+        let _ = run(shards, |b| b.obs(rec.clone()).mem_profile(profiler));
         assert_eq!(
             export::to_chrome_trace(&rec.events()),
             plain_chrome,
@@ -186,12 +104,7 @@ fn profiled_trace_exports_are_byte_identical() {
 #[test]
 fn attribution_covers_the_exercised_subsystems() {
     let profiler = MemProfiler::enabled();
-    let sys = run(
-        1,
-        Recorder::disabled(),
-        Sampler::disabled(),
-        profiler.clone(),
-    );
+    let sys = run(1, |b| b.mem_profile(profiler.clone()));
     assert!(sys.sim.events_processed() > 0);
     let report = profiler.report().expect("feature on, handle armed");
     let tags: Vec<&str> = report.tags.iter().map(|t| t.tag.as_str()).collect();

@@ -6,8 +6,10 @@
 //! completions, and the multifactor audit contract (`PriorityRanked`
 //! factor contributions sum exactly to the composed priority).
 
-use eslurm_suite::emu::NodeId;
-use eslurm_suite::eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder, PredictiveLimit};
+mod common;
+
+use common::{cfg, outcome_fingerprint};
+use eslurm_suite::eslurm::{EslurmSystem, EslurmSystemBuilder, PredictiveLimit};
 use eslurm_suite::estimate::EstimatorConfig;
 use eslurm_suite::obs::audit::{Decision, DecisionLog};
 use eslurm_suite::sched::prelude::{
@@ -125,21 +127,13 @@ fn explicit_default_policies_emit_byte_identical_audit_logs() {
     );
 }
 
-/// A fixed-seed ESlurm deployment scenario (the `tests/sharded_des.rs`
+/// A fixed-seed ESlurm deployment scenario (the `common::run`
 /// shape, minus faults): 3 satellites, 180 compute nodes, 12 jobs, run to
 /// t=600s.
 fn run_des(shards: usize, policies: bool) -> EslurmSystem {
     let m = 3;
     let n_slaves = 180;
-    let cfg = EslurmConfig {
-        n_satellites: m,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    };
-    let mut b = EslurmSystemBuilder::new(cfg, n_slaves, 33).shards(shards);
+    let mut b = EslurmSystemBuilder::new(cfg(m), n_slaves, 33).shards(shards);
     if policies {
         b = b
             .partitions(PartitionSet::single_default())
@@ -160,49 +154,20 @@ fn run_des(shards: usize, policies: bool) -> EslurmSystem {
     sys
 }
 
-fn des_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
-    let records: Vec<String> = sys
-        .master()
-        .records
-        .iter()
-        .map(|r| format!("{:?}", r))
-        .collect();
-    let meters: Vec<String> = (0..1 + sys.n_satellites + sys.n_slaves)
-        .map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.peak_sockets(),
-                m.sockets(),
-                m.peak_mem()
-            )
-        })
-        .collect();
-    (
-        sys.sim.now(),
-        sys.sim.events_processed(),
-        sys.sim.dropped_messages(),
-        records,
-        meters,
-    )
-}
-
 /// Acceptance gate: the default single-partition uniform-priority config
 /// gives same-seed bit-identical DES outcomes to the policy-unaware
 /// builder, across 1/2/4/8 shards.
 #[test]
 fn des_default_policy_builder_is_bit_identical_across_shards() {
-    let baseline = des_fingerprint(&run_des(1, false));
+    let baseline = outcome_fingerprint(&run_des(1, false));
     assert_eq!(baseline.3.len(), 12, "jobs lost in the baseline run");
     for shards in [1usize, 2, 4, 8] {
-        let with_policies = des_fingerprint(&run_des(shards, true));
+        let with_policies = outcome_fingerprint(&run_des(shards, true));
         assert_eq!(
             with_policies, baseline,
             "{shards}-shard run with explicit default policies diverged"
         );
-        let without = des_fingerprint(&run_des(shards, false));
+        let without = outcome_fingerprint(&run_des(shards, false));
         assert_eq!(
             without, baseline,
             "{shards}-shard policy-unaware run diverged"

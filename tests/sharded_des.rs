@@ -6,10 +6,11 @@
 //! counts apart. The engine merges the shard queues on the calling
 //! thread, which the last test pins.
 
-use eslurm_suite::emu::{Actor, Context, FaultPlan, NodeId, Outage, SimCluster, SimConfig};
-use eslurm_suite::eslurm::{
-    EslurmConfig, EslurmMaster, EslurmNode, EslurmSystem, EslurmSystemBuilder, SatelliteDaemon,
-};
+mod common;
+
+use common::{cfg, outcome_fingerprint, run};
+use eslurm_suite::emu::{Actor, Context, NodeId, SimCluster, SimConfig};
+use eslurm_suite::eslurm::{EslurmMaster, EslurmNode, SatelliteDaemon};
 use eslurm_suite::obs::{export, EngineMode, EngineProfiler, Recorder, Sampler};
 use eslurm_suite::rm::{NodeSlice, RmMsg, SlaveConfig, SlaveDaemon, SlaveHeartbeat};
 use eslurm_suite::simclock::{SimSpan, SimTime};
@@ -17,95 +18,15 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
-fn cfg(m: usize) -> EslurmConfig {
-    EslurmConfig {
-        n_satellites: m,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    }
-}
-
-/// A fixed-seed ESlurm scenario: 3 satellites, 180 compute nodes, a couple
-/// of mid-run outages, 12 jobs. Runs to t=600s.
-fn run(shards: usize, obs: Recorder, sampler: Sampler) -> EslurmSystem {
-    let m = 3;
-    let n_slaves = 180;
-    let total = 1 + m + n_slaves;
-    let plan = FaultPlan::from_outages(
-        total,
-        vec![
-            Outage {
-                node: NodeId((1 + m + 17) as u32),
-                down_at: SimTime::from_secs(90),
-                up_at: SimTime::from_secs(400),
-            },
-            Outage {
-                node: NodeId((1 + m + 101) as u32),
-                down_at: SimTime::from_secs(150),
-                up_at: SimTime::from_secs(2000),
-            },
-        ],
-    );
-    let mut sys = EslurmSystemBuilder::new(cfg(m), n_slaves, 33)
-        .faults(plan)
-        .obs(obs)
-        .sampler(sampler)
-        .shards(shards)
-        .build();
-    for j in 0..12u64 {
-        let start = (j as usize * 13) % (n_slaves - 48);
-        sys.submit(
-            SimTime::from_secs(10 + j * 25),
-            j,
-            &(start..start + 40).collect::<Vec<_>>(),
-            SimSpan::from_secs(20 + (j % 4) * 15),
-        );
-    }
-    sys.sim.run_until(SimTime::from_secs(600));
-    sys
-}
-
-fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
-    let records: Vec<String> = sys
-        .master()
-        .records
-        .iter()
-        .map(|r| format!("{:?}", r))
-        .collect();
-    let meters: Vec<String> = (0..1 + sys.n_satellites + sys.n_slaves)
-        .map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.peak_sockets(),
-                m.sockets(),
-                m.peak_mem()
-            )
-        })
-        .collect();
-    (
-        sys.sim.now(),
-        sys.sim.events_processed(),
-        sys.sim.dropped_messages(),
-        records,
-        meters,
-    )
-}
-
 /// Sharded runs (metrics-only recorder) reproduce the serial outcomes
 /// exactly, for every shard count.
 #[test]
 fn sharded_eslurm_outcomes_are_bit_identical() {
-    let serial = run(1, Recorder::metrics_only(), Sampler::disabled());
+    let serial = run(1, |b| b.obs(Recorder::metrics_only()));
     let baseline = outcome_fingerprint(&serial);
     assert_eq!(baseline.3.len(), 12, "jobs lost in the baseline run");
     for shards in [2usize, 4, 8] {
-        let sys = run(shards, Recorder::metrics_only(), Sampler::disabled());
+        let sys = run(shards, |b| b.obs(Recorder::metrics_only()));
         assert_eq!(
             outcome_fingerprint(&sys),
             baseline,
@@ -120,7 +41,9 @@ fn sharded_eslurm_outcomes_are_bit_identical() {
 fn sharded_metrics_csv_is_byte_identical() {
     let make = |shards| {
         let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-        run(shards, Recorder::metrics_only(), s.clone());
+        run(shards, |b| {
+            b.obs(Recorder::metrics_only()).sampler(s.clone())
+        });
         s.to_csv()
     };
     let serial_csv = make(1);
@@ -140,14 +63,14 @@ fn sharded_metrics_csv_is_byte_identical() {
 #[test]
 fn sharded_trace_exports_are_byte_identical() {
     let serial_rec = Recorder::full();
-    let _serial = run(1, serial_rec.clone(), Sampler::disabled());
+    let _serial = run(1, |b| b.obs(serial_rec.clone()));
     let serial_chrome = export::to_chrome_trace(&serial_rec.events());
     let serial_jsonl = export::to_jsonl(&serial_rec.events());
     assert!(serial_rec.events().len() > 1000, "trace suspiciously small");
 
     for shards in [4usize, 8] {
         let rec = Recorder::full();
-        let _sys = run(shards, rec.clone(), Sampler::disabled());
+        let _sys = run(shards, |b| b.obs(rec.clone()));
         assert_eq!(
             export::to_chrome_trace(&rec.events()),
             serial_chrome,

@@ -1,5 +1,5 @@
 //! The online SLO engine's non-perturbation guarantee, end to end: the
-//! same fixed-seed faulted ESlurm scenario as `engine_profile.rs` produces
+//! shared fixed-seed faulted ESlurm scenario (`tests/common`) produces
 //! **bit-identical outcomes** and **byte-identical virtual-time exports**
 //! (Chrome trace, event JSONL, metrics CSV) with the SLO engine armed or
 //! not, at every shard count — plus the detection behaviour itself: a
@@ -8,95 +8,16 @@
 //! ring with a reason-tagged header, and health folding is
 //! order-independent (proptest).
 
-use eslurm_suite::emu::{FaultPlan, NodeId, Outage};
-use eslurm_suite::eslurm::{EslurmConfig, EslurmSystem, EslurmSystemBuilder};
+mod common;
+
+use common::{cfg, outcome_fingerprint, run};
+use eslurm_suite::eslurm::EslurmSystemBuilder;
+use eslurm_suite::obs::export::{self, ChromeTrace};
 use eslurm_suite::obs::{
-    export, FlightConfig, Recorder, Sampler, SloEngine, SloEventKind, SloSpec,
+    FlightConfig, Recorder, Sampler, SloEngine, SloEvent, SloEventKind, SloSpec,
 };
 use eslurm_suite::simclock::{SimSpan, SimTime};
 use proptest::prelude::*;
-
-fn cfg(m: usize) -> EslurmConfig {
-    EslurmConfig {
-        n_satellites: m,
-        eq1_width: 48,
-        relay_width: 8,
-        hb_sweep_interval: SimSpan::from_secs(60),
-        sat_hb_interval: SimSpan::from_secs(5),
-        ..Default::default()
-    }
-}
-
-/// The `engine_profile.rs` scenario — 3 satellites, 180 compute nodes,
-/// two mid-run outages, 12 jobs, run to t=600s — with an SLO engine
-/// threaded through the builder.
-fn run(shards: usize, obs: Recorder, sampler: Sampler, slo: SloEngine) -> EslurmSystem {
-    let m = 3;
-    let n_slaves = 180;
-    let total = 1 + m + n_slaves;
-    let plan = FaultPlan::from_outages(
-        total,
-        vec![
-            Outage {
-                node: NodeId((1 + m + 17) as u32),
-                down_at: SimTime::from_secs(90),
-                up_at: SimTime::from_secs(400),
-            },
-            Outage {
-                node: NodeId((1 + m + 101) as u32),
-                down_at: SimTime::from_secs(150),
-                up_at: SimTime::from_secs(2000),
-            },
-        ],
-    );
-    let mut sys = EslurmSystemBuilder::new(cfg(m), n_slaves, 33)
-        .faults(plan)
-        .obs(obs)
-        .sampler(sampler)
-        .shards(shards)
-        .slo(slo)
-        .build();
-    for j in 0..12u64 {
-        let start = (j as usize * 13) % (n_slaves - 48);
-        sys.submit(
-            SimTime::from_secs(10 + j * 25),
-            j,
-            &(start..start + 40).collect::<Vec<_>>(),
-            SimSpan::from_secs(20 + (j % 4) * 15),
-        );
-    }
-    sys.sim.run_until(SimTime::from_secs(600));
-    sys
-}
-
-fn outcome_fingerprint(sys: &EslurmSystem) -> (SimTime, u64, u64, Vec<String>, Vec<String>) {
-    let records: Vec<String> = sys
-        .master()
-        .records
-        .iter()
-        .map(|r| format!("{:?}", r))
-        .collect();
-    let meters: Vec<String> = (0..1 + sys.n_satellites + sys.n_slaves)
-        .map(|i| {
-            let m = sys.sim.meter(NodeId(i as u32));
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.peak_sockets(),
-                m.sockets(),
-                m.peak_mem()
-            )
-        })
-        .collect();
-    (
-        sys.sim.now(),
-        sys.sim.events_processed(),
-        sys.sim.dropped_messages(),
-        records,
-        meters,
-    )
-}
 
 /// A spec set with one objective tight enough to breach in this scenario
 /// (sweeps take milliseconds, the target is 1µs) and one that must stay
@@ -116,7 +37,9 @@ fn slo_runs_are_bit_identical_to_plain() {
     for shards in [1usize, 2, 4, 8] {
         let make = |slo: SloEngine| {
             let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-            let sys = run(shards, Recorder::metrics_only(), s.clone(), slo);
+            let sys = run(shards, |b| {
+                b.obs(Recorder::metrics_only()).sampler(s.clone()).slo(slo)
+            });
             (outcome_fingerprint(&sys), s.to_csv())
         };
         let (plain_fp, plain_csv) = make(SloEngine::disabled());
@@ -147,7 +70,7 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
     let make = |slo: SloEngine| {
         let rec = Recorder::full();
         let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-        run(1, rec.clone(), s, slo);
+        run(1, |b| b.obs(rec.clone()).sampler(s).slo(slo));
         rec
     };
     let plain_rec = make(SloEngine::disabled());
@@ -169,10 +92,17 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
     );
 
     // An empty SLO event list leaves even the combined export unchanged.
-    let combined_empty = export::to_chrome_trace_with_slo(&rec.events(), &[], &[], &[], &[]);
+    let with_slo = |slo: &[SloEvent]| {
+        ChromeTrace {
+            events: &rec.events(),
+            slo,
+            ..ChromeTrace::default()
+        }
+        .render()
+    };
     assert_eq!(
-        combined_empty,
-        export::to_chrome_trace_full(&rec.events(), &[], &[], &[]),
+        with_slo(&[]),
+        plain_chrome,
         "empty SLO track must not change the combined export"
     );
 
@@ -180,7 +110,7 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
     // breach instant; the SLO JSONL names the breached spec.
     let events = slo.events();
     assert!(!events.is_empty());
-    let combined = export::to_chrome_trace_with_slo(&rec.events(), &[], &[], &[], &events);
+    let combined = with_slo(&events);
     assert!(combined.contains("\"name\":\"slo\""), "missing slo track");
     assert!(
         combined.contains("breach:sweep_p99_us"),
@@ -198,7 +128,9 @@ fn slo_trace_exports_are_byte_identical_plus_breach_track() {
 fn tight_objective_breaches_with_sane_latency() {
     let slo = tight_slo();
     let s = Sampler::every_until(SimSpan::from_secs(1), SimTime::from_secs(300));
-    run(1, Recorder::metrics_only(), s, slo.clone());
+    run(1, |b| {
+        b.obs(Recorder::metrics_only()).sampler(s).slo(slo.clone())
+    });
     let report = slo.report().expect("armed engine reports");
     let sweep = &report.specs[0];
     assert_eq!(sweep.name, "sweep_p99_us");
