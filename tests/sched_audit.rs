@@ -9,8 +9,13 @@ use eslurm_suite::estimate::{signed_error_percentiles, EstimatorConfig};
 use eslurm_suite::obs::audit::{
     AuditReport, Decision, DecisionLog, DecisionRecord, EstSource, SkipReason,
 };
-use eslurm_suite::sched::prelude::{simulate, BackfillConfig, SchedAlgo, ScheduleReport};
+use eslurm_suite::sched::prelude::{
+    simulate, BackfillConfig, FairShareLedger, MultifactorPriority, OracleLimit, Partition,
+    PartitionSet, SchedAlgo, SchedPolicies, ScheduleReport, UserLimit,
+};
+use eslurm_suite::simclock::SimSpan;
 use eslurm_suite::workload::TraceConfig;
+use std::collections::BTreeMap;
 
 /// The pinned audit scenario: the same fixed-seed workload the CLI's
 /// `sched-report` defaults to, chosen because it exercises every decision
@@ -250,4 +255,117 @@ fn ring_cap_drops_oldest_but_keeps_counting() {
     // The capped ring holds exactly the newest suffix of the full log.
     let tail = &full.records()[full.len() - 64..];
     assert_eq!(eslurm_suite::obs::audit::to_jsonl(tail), capped.to_jsonl());
+}
+
+/// One trace that kills at the limit, resubmits, abandons and straddles
+/// an RM outage: every 5th job underestimates its runtime 3× (killed,
+/// then completes on a raised limit) and every 13th 20× (killed past the
+/// resubmission budget and abandoned).
+fn pinned_trace() -> Vec<eslurm_suite::workload::Job> {
+    let mut jobs = TraceConfig::small(300, 11).generate();
+    for (i, j) in jobs.iter_mut().enumerate() {
+        if i % 13 == 0 {
+            j.user_estimate = Some(j.actual_runtime / 20);
+        } else if i % 5 == 0 {
+            j.user_estimate = Some(j.actual_runtime / 3);
+        }
+    }
+    jobs
+}
+
+/// Two partitions (a capped small-job partition and a default batch
+/// partition), multifactor priority, and a fair-share ledger.
+fn tenant_policies() -> SchedPolicies {
+    SchedPolicies::default()
+        .with_partitions(PartitionSet::new(vec![
+            Partition::named("small")
+                .job_nodes(1, Some(8))
+                .capacity(24)
+                .max_time(SimSpan::from_hours(4))
+                .default_time(SimSpan::from_hours(1)),
+            Partition::named("batch")
+                .default_time(SimSpan::from_hours(2))
+                .qos(2.0),
+        ]))
+        .with_priority(MultifactorPriority::slurm_default())
+        .with_fairshare(FairShareLedger::new(SimSpan::from_hours(24), 4))
+}
+
+/// One line per run: every `ScheduleReport` field (f64s as raw bits,
+/// `per_user` as an FNV-1a hash of its debug form), the audit record
+/// count per decision kind, and the JSONL byte length.
+fn outcome_line(algo: SchedAlgo, oracle: bool, tenants: bool) -> String {
+    let jobs = pinned_trace();
+    let outage_at = jobs[jobs.len() / 2].submit;
+    let audit = DecisionLog::unbounded();
+    let mut cfg = BackfillConfig {
+        algo,
+        audit: audit.clone(),
+        rm_outages: vec![(outage_at, SimSpan::from_hours(2))],
+        ..BackfillConfig::new(64)
+    };
+    if tenants {
+        cfg.policies = tenant_policies();
+    }
+    let r = if oracle {
+        simulate(&jobs, &mut OracleLimit, &cfg)
+    } else {
+        simulate(&jobs, &mut UserLimit::default(), &cfg)
+    };
+    let mut per_user = 0xcbf2_9ce4_8422_2325u64;
+    for b in format!("{:?}", r.per_user).bytes() {
+        per_user = (per_user ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
+    for rec in audit.records() {
+        *kinds.entry(rec.decision.name()).or_default() += 1;
+    }
+    format!(
+        "{algo:?}/{}/{}: c={} k={} a={} occ={:x} use={:x} wait={} sd={:x} mk={} n={} pu={per_user:x} \
+         audit={kinds:?} jsonl={}",
+        if oracle { "oracle" } else { "user" },
+        if tenants { "tenants" } else { "default" },
+        r.completed,
+        r.killed,
+        r.abandoned,
+        r.occupied_node_secs.to_bits(),
+        r.useful_node_secs.to_bits(),
+        r.total_wait.as_micros(),
+        r.total_slowdown.to_bits(),
+        r.makespan.as_micros(),
+        r.nodes,
+        audit.to_jsonl().len(),
+    )
+}
+
+/// Pinned scheduler outcomes: every discipline × {user, oracle} limits ×
+/// {default, multi-tenant} policies on one kill/resubmit/outage trace.
+/// The expected lines were recorded from the scheduler as it stood when
+/// the test was added; any change to event order, policy call order or
+/// audit emission shows up here.
+#[test]
+fn scheduler_outcomes_are_pinned() {
+    const EXPECTED: &[&str] = &[
+        r#"Fcfs/user/default: c=276 k=218 a=24 occ=416240f12d3ff8ab use=415b959b2c7f8011 wait=2204097303196 sd=40a57871c5838a43 mk=650353520336 n=64 pu=9cd93341ed3b7758 audit={"completed": 276, "killed_at_limit": 218, "resubmitted": 194, "started": 494, "submitted": 300} jsonl=162672"#,
+        r#"Fcfs/user/tenants: c=273 k=228 a=27 occ=41624ff0b3941c83 use=415b2ead3b729f5a wait=3136151556781 sd=40a4a110ce741610 mk=677417569208 n=64 pu=317aa9356de72bb1 audit={"completed": 273, "killed_at_limit": 228, "priority_ranked": 942, "resubmitted": 201, "started": 501, "submitted": 300} jsonl=354929"#,
+        r#"Fcfs/oracle/default: c=300 k=0 a=0 occ=415de4a81ba860db use=415de3e9b43c7d5d wait=1351023468129 sd=409ea98805f291e5 mk=636808858296 n=64 pu=93f6e2b40352fefc audit={"completed": 300, "started": 300, "submitted": 300} jsonl=90241"#,
+        r#"Fcfs/oracle/tenants: c=297 k=12 a=3 occ=415e267a643affb0 use=415d7cfbc32f9ca6 wait=2118469573847 sd=409cf528b41fab32 mk=654469286415 n=64 pu=d562e53b1f8a74cf audit={"completed": 297, "killed_at_limit": 12, "priority_ranked": 716, "resubmitted": 9, "started": 309, "submitted": 300} jsonl=238632"#,
+        r#"Easy/user/default: c=276 k=218 a=24 occ=416240f12d3ff8ab use=415b959b2c7f8011 wait=1173239287055 sd=4096126e7b6fc475 mk=641919732314 n=64 pu=3343145b0df012e1 audit={"backfilled": 102, "completed": 276, "head_of_queue": 175, "killed_at_limit": 218, "reservation_placed": 187, "resubmitted": 194, "skipped_backfill": 185, "started": 494, "submitted": 300} jsonl=240482"#,
+        r#"Easy/user/tenants: c=273 k=228 a=27 occ=41624ff0b3941c83 use=415b2ead3b729f5a wait=2002243947653 sd=40a0a757f193448f mk=659799724686 n=64 pu=e5cd470c6be71f89 audit={"backfilled": 51, "completed": 273, "head_of_queue": 142, "killed_at_limit": 228, "priority_ranked": 738, "reservation_placed": 217, "resubmitted": 201, "skipped_backfill": 186, "started": 501, "submitted": 300} jsonl=386089"#,
+        r#"Easy/oracle/default: c=300 k=0 a=0 occ=415de4a81ba860db use=415de3e9b43c7d5d wait=842730274921 sd=4094cb3e199a566c mk=636808858296 n=64 pu=30d4cf97725e8dd audit={"backfilled": 49, "completed": 300, "head_of_queue": 106, "reservation_placed": 106, "skipped_backfill": 131, "started": 300, "submitted": 300} jsonl=137651"#,
+        r#"Easy/oracle/tenants: c=297 k=12 a=3 occ=415e267a643affb0 use=415d7cfbc32f9ca6 wait=1136842296678 sd=4098b4b5d06bcd25 mk=652310344942 n=64 pu=180c00cdbe808e45 audit={"backfilled": 29, "completed": 297, "head_of_queue": 127, "killed_at_limit": 12, "priority_ranked": 514, "reservation_placed": 136, "resubmitted": 9, "skipped_backfill": 131, "started": 309, "submitted": 300} jsonl=248207"#,
+        r#"Conservative/user/default: c=276 k=218 a=24 occ=416240f12d3ff8ab use=415b959b2c7f8011 wait=1201679599388 sd=409817cdf86dd196 mk=641919732314 n=64 pu=f7a221c74d31a3aa audit={"backfilled": 102, "completed": 276, "head_of_queue": 175, "killed_at_limit": 218, "reservation_placed": 188, "resubmitted": 194, "skipped_backfill": 198, "started": 494, "submitted": 300} jsonl=241266"#,
+        r#"Conservative/user/tenants: c=273 k=228 a=27 occ=41624ff0b3941c83 use=415b2ead3b729f5a wait=2002243947653 sd=40a0a757f193448f mk=659799724686 n=64 pu=e5cd470c6be71f89 audit={"backfilled": 51, "completed": 273, "head_of_queue": 133, "killed_at_limit": 228, "priority_ranked": 738, "reservation_placed": 206, "resubmitted": 201, "skipped_backfill": 183, "started": 501, "submitted": 300} jsonl=383176"#,
+        r#"Conservative/oracle/default: c=300 k=0 a=0 occ=415de4a81ba860db use=415de3e9b43c7d5d wait=842730274921 sd=4094cb3e199a566c mk=636808858296 n=64 pu=30d4cf97725e8dd audit={"backfilled": 49, "completed": 300, "head_of_queue": 106, "reservation_placed": 106, "skipped_backfill": 131, "started": 300, "submitted": 300} jsonl=137252"#,
+        r#"Conservative/oracle/tenants: c=297 k=12 a=3 occ=415e267a643affb0 use=415d7cfbc32f9ca6 wait=1136842296678 sd=4098b4b5d06bcd25 mk=652310344942 n=64 pu=180c00cdbe808e45 audit={"backfilled": 29, "completed": 297, "head_of_queue": 118, "killed_at_limit": 12, "priority_ranked": 514, "reservation_placed": 126, "resubmitted": 9, "skipped_backfill": 146, "started": 309, "submitted": 300} jsonl=247671"#,
+    ];
+    let mut got = Vec::new();
+    for algo in [SchedAlgo::Fcfs, SchedAlgo::Easy, SchedAlgo::Conservative] {
+        for oracle in [false, true] {
+            for tenants in [false, true] {
+                got.push(outcome_line(algo, oracle, tenants));
+            }
+        }
+    }
+    assert_eq!(got, EXPECTED, "\n{}", got.join("\n"));
 }
