@@ -19,11 +19,10 @@
 
 use emu::{FaultPlan, FaultPlanBuilder, NodeId, Outage};
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, fnv64, print_table, ExpArgs};
+use eslurm_bench::{eslurm_fingerprint, eslurm_job_stream, f, fnv64, print_table, ExpArgs};
 use obs::{AnomalySpec, MetricId, Sampler, SloEngine, SloReport, SloSpec};
 use rm::{RmClusterBuilder, RmProfile};
 use serde::{Number, Value};
-use simclock::rng::{exponential, stream_rng};
 use simclock::{SimSpan, SimTime};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -113,64 +112,28 @@ fn run_fig9(scale: &Scale, seed: u64, shards: usize, slo_on: bool) -> RunResult 
         .slo(slo)
         .build();
 
-    let horizon_s = scale.horizon.as_secs_f64();
-    let rate = scale.jobs_target as f64 / horizon_s;
-    let mut rng = stream_rng(seed + 1, 0x10B5);
-    let n = scale.n_slaves as u32;
-    let max_exp = (scale.max_job.min(n) as f64).log2();
-    let mut t = 0.0f64;
-    let mut jobs = 0u64;
-    let mut idxs: Vec<usize> = Vec::with_capacity(scale.max_job as usize);
-    loop {
-        t += exponential(&mut rng, rate);
-        if t >= horizon_s {
-            break;
-        }
-        let count = 2f64
-            .powf(rand::RngExt::random::<f64>(&mut rng) * max_exp)
-            .round()
-            .max(1.0) as u32;
-        let start = rand::RngExt::random_range(&mut rng, 0..n - count.min(n - 1));
-        idxs.clear();
-        idxs.extend((start..start + count).map(|i| i as usize));
-        let rt = SimSpan::from_secs_f64(exponential(&mut rng, 1.0 / 600.0).max(5.0));
-        sys.submit(SimTime::from_secs_f64(t), jobs, &idxs, rt);
-        jobs += 1;
-    }
+    let rate = scale.jobs_target as f64 / scale.horizon.as_secs_f64();
+    let mean_rt = SimSpan::from_secs(600);
+    eslurm_job_stream(
+        &mut sys,
+        scale.horizon,
+        rate,
+        scale.max_job,
+        mean_rt,
+        0,
+        seed + 1,
+    );
 
     let wall = Instant::now();
     sys.sim.run_until(SimTime::ZERO + scale.horizon);
     let wall_s = wall.elapsed().as_secs_f64();
-
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv64(&sys.sim.now().as_micros().to_le_bytes(), h);
-    h = fnv64(&sys.sim.events_processed().to_le_bytes(), h);
-    h = fnv64(&sys.sim.dropped_messages().to_le_bytes(), h);
-    for r in &sys.master().records {
-        h = fnv64(format!("{r:?}").as_bytes(), h);
-    }
-    for i in 0..=scale.satellites {
-        let m = sys.sim.meter(NodeId(i as u32));
-        h = fnv64(
-            format!(
-                "{:?}|{:?}|{}|{}|{:?}",
-                m.cpu_time(),
-                m.msg_counts(),
-                m.sockets(),
-                m.peak_sockets(),
-                m.peak_mem()
-            )
-            .as_bytes(),
-            h,
-        );
-    }
 
     RunResult {
         shards,
         slo_on,
         wall_s,
         events: sys.sim.events_processed(),
-        fingerprint: h,
+        fingerprint: eslurm_fingerprint(&sys),
         report: sys.sim.slo_engine().report(),
     }
 }

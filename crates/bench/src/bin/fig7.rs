@@ -13,11 +13,9 @@
 
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, fmt_bytes, print_table, write_csv, ExpArgs};
+use eslurm_bench::{eslurm_job_stream, f, fmt_bytes, print_table, write_csv, ExpArgs};
 use obs::{MetricId, Sampler, SeriesPoint, SeriesStore, SeriesSummary};
-use rand::RngExt;
 use rm::{RmClusterBuilder, RmProfile};
-use simclock::rng::stream_rng;
 use simclock::{SimSpan, SimTime};
 
 struct Usage {
@@ -84,38 +82,6 @@ fn dump_series(name: &str, store: &SeriesStore, node: &str) {
     );
 }
 
-/// Inject a Fig. 7-style job stream into an ESlurm system (same
-/// distribution as [`rm::ClusterHarness::submit_stream`], mapped onto
-/// slave indices).
-fn eslurm_job_stream(
-    sys: &mut eslurm::EslurmSystem,
-    horizon: SimSpan,
-    rate_per_hour: f64,
-    mean_runtime: SimSpan,
-    seed: u64,
-) {
-    let n = sys.n_slaves as u32;
-    let mut rng = stream_rng(seed, 0x10B5);
-    let mut t = 0.0f64;
-    let mut job = 0u64;
-    let rate = rate_per_hour / 3600.0;
-    loop {
-        t += simclock::rng::exponential(&mut rng, rate);
-        if t >= horizon.as_secs_f64() {
-            break;
-        }
-        job += 1;
-        let max_exp = (n as f64).log2();
-        let count = 2f64.powf(rng.random::<f64>() * max_exp).round().max(1.0) as u32;
-        let start = rng.random_range(0..n - count.min(n - 1));
-        let idxs: Vec<usize> = (start..start + count).map(|i| i as usize).collect();
-        let runtime = SimSpan::from_secs_f64(
-            simclock::rng::exponential(&mut rng, 1.0 / mean_runtime.as_secs_f64()).max(5.0),
-        );
-        sys.submit(SimTime::from_secs_f64(t), job, &idxs, runtime);
-    }
-}
-
 fn main() {
     let args = ExpArgs::parse();
     let n: usize = args.scale(4096, 512);
@@ -164,7 +130,15 @@ fn main() {
         let mut sys = EslurmSystemBuilder::new(cfg, n, args.seed)
             .sampler(sampler.clone())
             .build();
-        eslurm_job_stream(&mut sys, horizon, rate, mean_rt, args.seed + 1);
+        eslurm_job_stream(
+            &mut sys,
+            horizon,
+            rate / 3600.0,
+            u32::MAX,
+            mean_rt,
+            1,
+            args.seed + 1,
+        );
         sys.sim.run_until(horizon_t);
         println!("{} events", sys.sim.events_processed());
         let store = sampler.store();

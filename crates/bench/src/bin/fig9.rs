@@ -7,7 +7,7 @@
 
 use emu::NodeId;
 use eslurm::{EslurmConfig, EslurmSystemBuilder};
-use eslurm_bench::{f, fmt_bytes, print_table, write_csv, ExpArgs};
+use eslurm_bench::{eslurm_job_stream, f, fmt_bytes, print_table, write_csv, ExpArgs};
 use obs::{MetricId, Sampler, SeriesStore, SeriesSummary};
 use rm::{RmClusterBuilder, RmProfile};
 use simclock::{SimSpan, SimTime};
@@ -95,28 +95,15 @@ fn main() {
             .sampler(sampler.clone())
             .build();
         // Same stream shape as the Slurm run.
-        let n_u32 = n as u32;
-        let mut rng = simclock::rng::stream_rng(args.seed + 1, 0x10B5);
-        let mut t = 0.0f64;
-        let mut job = 0u64;
-        loop {
-            t += simclock::rng::exponential(&mut rng, rate / 3600.0);
-            if t >= horizon.as_secs_f64() {
-                break;
-            }
-            job += 1;
-            let max_exp = (n_u32 as f64).log2();
-            let count = 2f64
-                .powf(rand::RngExt::random::<f64>(&mut rng) * max_exp)
-                .round()
-                .max(1.0) as u32;
-            let start = rand::RngExt::random_range(&mut rng, 0..n_u32 - count.min(n_u32 - 1));
-            let idxs: Vec<usize> = (start..start + count).map(|i| i as usize).collect();
-            let rt = SimSpan::from_secs_f64(
-                simclock::rng::exponential(&mut rng, 1.0 / mean_rt.as_secs_f64()).max(5.0),
-            );
-            sys.submit(SimTime::from_secs_f64(t), job, &idxs, rt);
-        }
+        eslurm_job_stream(
+            &mut sys,
+            horizon,
+            rate / 3600.0,
+            u32::MAX,
+            mean_rt,
+            1,
+            args.seed + 1,
+        );
         sys.sim.run_until(horizon_t);
         println!("{} events", sys.sim.events_processed());
 

@@ -6,6 +6,11 @@
 //! and smoke runs) and `--seed <n>`, prints aligned text tables, and drops
 //! CSV series under `results/`.
 
+use emu::NodeId;
+use eslurm::EslurmSystem;
+use rand::RngExt;
+use simclock::rng::{exponential, stream_rng};
+use simclock::{SimSpan, SimTime};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -133,6 +138,73 @@ pub fn fnv64(bytes: &[u8], mut h: u64) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The fig9-shaped ESlurm job stream, submitted to `sys` over `horizon`:
+/// exponential inter-arrivals at `rate_per_s`, power-law node counts of at
+/// most `max_job` on a contiguous slave range, and exponential runtimes of
+/// mean `mean_runtime` with a 5 s floor. Job ids count up from `first_id`;
+/// the random draws come from stream `0x10B5` of `seed`. Returns the
+/// number of jobs submitted.
+pub fn eslurm_job_stream(
+    sys: &mut EslurmSystem,
+    horizon: SimSpan,
+    rate_per_s: f64,
+    max_job: u32,
+    mean_runtime: SimSpan,
+    first_id: u64,
+    seed: u64,
+) -> u64 {
+    let n = sys.n_slaves as u32;
+    let max_exp = (max_job.min(n) as f64).log2();
+    let mut rng = stream_rng(seed, 0x10B5);
+    let mut t = 0.0f64;
+    let mut jobs = 0u64;
+    let mut idxs: Vec<usize> = Vec::new();
+    loop {
+        t += exponential(&mut rng, rate_per_s);
+        if t >= horizon.as_secs_f64() {
+            return jobs;
+        }
+        let count = 2f64.powf(rng.random::<f64>() * max_exp).round().max(1.0) as u32;
+        let start = rng.random_range(0..n - count.min(n - 1));
+        idxs.clear();
+        idxs.extend((start..start + count).map(|i| i as usize));
+        let runtime = SimSpan::from_secs_f64(
+            exponential(&mut rng, 1.0 / mean_runtime.as_secs_f64()).max(5.0),
+        );
+        sys.submit(SimTime::from_secs_f64(t), first_id + jobs, &idxs, runtime);
+        jobs += 1;
+    }
+}
+
+/// Outcome fingerprint of an ESlurm run: the clock, event count, drops,
+/// every job record, and the master and satellite meters — what the
+/// paper's figures read.
+pub fn eslurm_fingerprint(sys: &EslurmSystem) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    h = fnv64(&sys.sim.now().as_micros().to_le_bytes(), h);
+    h = fnv64(&sys.sim.events_processed().to_le_bytes(), h);
+    h = fnv64(&sys.sim.dropped_messages().to_le_bytes(), h);
+    for r in &sys.master().records {
+        h = fnv64(format!("{r:?}").as_bytes(), h);
+    }
+    for i in 0..=sys.n_satellites {
+        let m = sys.sim.meter(NodeId(i as u32));
+        h = fnv64(
+            format!(
+                "{:?}|{:?}|{}|{}|{:?}",
+                m.cpu_time(),
+                m.msg_counts(),
+                m.sockets(),
+                m.peak_sockets(),
+                m.peak_mem()
+            )
+            .as_bytes(),
+            h,
+        );
     }
     h
 }

@@ -462,6 +462,20 @@ pub fn analyze(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--nodes` (default `default`): a cluster with no nodes is a usage
+/// error.
+fn cluster_nodes<T>(cmd: &'static str, o: &Opts, default: T) -> Result<T, CliError>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    let nodes = flag_or(cmd, o, "nodes", default)?;
+    if nodes == T::default() {
+        return Err(CliError::usage(cmd, "--nodes must be at least 1"));
+    }
+    Ok(nodes)
+}
+
 /// `eslurm replay FILE --nodes N --policy user|predictive|oracle --algo ...
 /// [--obs trace.json]`
 pub fn replay(args: &[String]) -> Result<(), CliError> {
@@ -470,8 +484,8 @@ pub fn replay(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     };
     let path = positional(CMD, &o, 0, "trace file")?;
+    let nodes = cluster_nodes(CMD, &o, 1024u32)?;
     let jobs = load_trace(path)?;
-    let nodes = flag_or(CMD, &o, "nodes", 1024u32)?;
     let algo = parse_algo(CMD, &o)?;
     let mut policy = parse_policy(CMD, &o, "user")?;
     let rec = if o.get("obs").is_some() {
@@ -600,7 +614,7 @@ impl Scenario {
     /// job through a satellite) is a usage error.
     fn parse(cmd: &'static str, o: &Opts, defaults: Scenario) -> Result<Scenario, CliError> {
         let s = Scenario {
-            nodes: flag_or(cmd, o, "nodes", defaults.nodes)?,
+            nodes: cluster_nodes(cmd, o, defaults.nodes)?,
             satellites: flag_or(cmd, o, "satellites", defaults.satellites)?,
             minutes: flag_or(cmd, o, "minutes", defaults.minutes)?,
             jobs: flag_or(cmd, o, "jobs", defaults.jobs)?,
@@ -608,9 +622,6 @@ impl Scenario {
             faults: flag_or(cmd, o, "faults", defaults.faults)?,
             shards: flag_or(cmd, o, "shards", defaults.shards)?,
         };
-        if s.nodes == 0 {
-            return Err(CliError::usage(cmd, "--nodes must be at least 1"));
-        }
         if s.satellites == 0 {
             return Err(CliError::usage(cmd, "--satellites must be at least 1"));
         }
@@ -974,6 +985,7 @@ fn parse_policies(cmd: &'static str, o: &Opts, banks: usize) -> Result<SchedPoli
 /// Slurm-flavored factor composition (per-factor contributions land in
 /// the audit log).
 fn audit_run(cmd: &'static str, o: &Opts) -> Result<AuditRun, CliError> {
+    let nodes = cluster_nodes(cmd, o, 64u32)?;
     let users = flag_or(cmd, o, "users", 0usize)?;
     let banks = flag_or(cmd, o, "banks", 48usize)?;
     let jobs = match o.get("trace") {
@@ -991,7 +1003,6 @@ fn audit_run(cmd: &'static str, o: &Opts) -> Result<AuditRun, CliError> {
             }
         }
     };
-    let nodes = flag_or(cmd, o, "nodes", 64u32)?;
     let algo = parse_algo(cmd, o)?;
     let mut policy = parse_policy(cmd, o, "predictive")?;
     let rec = if o.get("obs").is_some() {
@@ -1491,6 +1502,20 @@ mod tests {
                     Some(Err(e)) => assert_eq!(e.exit_code(), 2, "{} {flag} 0: {e}", c.name),
                     _ => panic!("{} {flag} 0 was not rejected", c.name),
                 }
+            }
+        }
+        // The scheduler commands reject a 0-node cluster too; `replay`
+        // does so before it reads the trace file.
+        for (cmd, lead) in [
+            ("replay", Some("no-such-trace.jsonl")),
+            ("why-job", Some("3")),
+            ("sched-report", None),
+        ] {
+            let mut args: Vec<String> = lead.into_iter().map(String::from).collect();
+            args.extend(["--nodes".to_string(), "0".to_string()]);
+            match dispatch(cmd, &args) {
+                Some(Err(e)) => assert_eq!(e.exit_code(), 2, "{cmd} --nodes 0: {e}"),
+                _ => panic!("{cmd} --nodes 0 was not rejected"),
             }
         }
     }

@@ -18,6 +18,16 @@
 //!   optional, with the all-default configuration bit-identical to a
 //!   policy-unaware scheduler.
 //!
+//! The scheduler is a loop-free core driven from outside. The crate-private
+//! `backfill::Scheduler` holds one run's queue, running set and report,
+//! and has three entry points that each take `now` from the caller:
+//! `submit` (an arrival), `finish` (a job's nodes release) and `plan` (one
+//! FCFS/EASY/conservative pass, handing back the end event of every job it
+//! started). It owns no clock, event queue or loop. [`backfill::simulate`]
+//! is the thin driver around it: one `simclock::KeyedQueue` of arrivals,
+//! ends and outage wake-ups popped in `(time, push order)`, the sampler
+//! cadence and the RM-outage gate.
+//!
 //! Metrics follow §VII-D: system utilization, average waiting time, and
 //! average bounded slowdown with τ = 10 s.
 //!

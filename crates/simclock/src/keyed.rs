@@ -1,18 +1,23 @@
 //! Shard-invariant event ordering and a slab-backed keyed queue.
 //!
-//! The serial [`EventQueue`](crate::EventQueue) breaks ties on *global push
-//! order*, which is a total order but not a portable one: the interleaving
-//! of pushes depends on how the simulation loop is driven, so two engines
-//! that partition the event population differently (one queue vs. one queue
-//! per shard) would assign different sequence numbers to the same logical
-//! event. [`EventKey`] fixes that by making the tie-breaker a property of
-//! the *event itself*:
+//! Every event carries an [`EventKey`], and the queue pops keys in
+//! ascending order. Ordering by *global push order* alone would be a total
+//! order but not a portable one: the interleaving of pushes depends on how
+//! the simulation loop is driven, so two engines that partition the event
+//! population differently (one queue vs. one queue per shard) would assign
+//! different sequence numbers to the same logical event. [`EventKey`]
+//! makes the tie-breaker a property of the *event itself*:
 //!
 //! * `time` — the virtual instant the event fires;
 //! * `lane` — who created it (`0` for external/system events such as
 //!   injected jobs and fault-plan markers, `n + 1` for events created by
 //!   node `n`);
 //! * `seq` — the creator's own monotonically increasing creation counter.
+//!
+//! A driver with a single creator keeps everything on [`SYSTEM_LANE`] and
+//! stamps one running `seq` per push: the queue then pops in `(time, push
+//! order)`, with equal-time events in exactly the order they were pushed
+//! (the backfill scheduler's driver relies on this).
 //!
 //! A node's handlers always run in the key order of the node's events, so
 //! each node emits events in a deterministic order no matter how the event

@@ -2,23 +2,23 @@
 //!
 //! The deterministic discrete-event simulation (DES) core used by every
 //! other crate in the ESlurm reproduction: a virtual clock ([`SimTime`] /
-//! [`SimSpan`]), a total-ordered [`EventQueue`], and seeded random streams
-//! ([`rng`]).
+//! [`SimSpan`]), one total-ordered event queue ([`KeyedQueue`]), and seeded
+//! random streams ([`rng`]).
 //!
 //! Determinism contract: given the same master seed and configuration, every
 //! simulation built on this crate produces identical output, because
-//! (a) events tie-break on insertion sequence and (b) each stochastic
-//! component owns an independent derived RNG stream.
+//! (a) every event carries a unique [`EventKey`] `(time, lane, seq)` that
+//! breaks ties on virtual time, and (b) each stochastic component owns an
+//! independent derived RNG stream.
 //!
-//! For sharded (multi-queue) execution, [`keyed`] provides the
-//! shard-count-invariant ordering `(time, lane, seq)` and a slab-backed
-//! [`KeyedQueue`] whose global merge replays the serial order exactly.
+//! The sharded DES keys node-created events by their creator so the order
+//! is shard-count-invariant; a single-queue driver (the backfill
+//! scheduler) stamps every event with [`EventKey::system`] and one running
+//! sequence number, which pops them by `(time, push order)`. See [`keyed`].
 
 pub mod keyed;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use keyed::{EventKey, KeyedQueue, SYSTEM_LANE};
-pub use queue::EventQueue;
 pub use time::{SimSpan, SimTime};
